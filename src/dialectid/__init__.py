@@ -63,9 +63,19 @@ from .nasalization import (
     levinson_durbin,
     lp_spectrum,
 )
-from .synth import generate_synthetic_corpus
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The synthesizer needs scipy.signal, which is slow to import and which
+    # nothing else uses, so it loads on first use rather than with the package.
+    if name == "generate_synthetic_corpus":
+        from .synth import generate_synthetic_corpus
+
+        return generate_synthetic_corpus
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AudioSignal",

@@ -58,7 +58,6 @@ from .nasalization import (
     compare_degree,
     segment_lp_spectra,
 )
-from .synth import generate_synthetic_corpus
 
 _SECTIONS = {"mfcc": MfccConfig, "train": TrainConfig, "nasal": NasalConfig}
 
@@ -423,6 +422,9 @@ def cmd_stats(args, kv) -> int:
 
 
 def cmd_synth(args, kv) -> int:
+    # Imported here so that no other subcommand pays for importing scipy.signal.
+    from .synth import generate_synthetic_corpus
+
     result = generate_synthetic_corpus(
         args.out,
         seed=args.seed if args.seed is not None else 0,

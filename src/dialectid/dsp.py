@@ -9,13 +9,19 @@ cepstral mean subtraction. Input audio must already be at the canonical
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
 
-from .errors import FeatureFileError, SampleRateMismatch, SignalTooShort
+from .errors import (
+    FeatureFileError,
+    SampleRateMismatch,
+    SignalTooShort,
+    require_finite_fields,
+)
 
 CANONICAL_SAMPLE_RATE = 16000
 
@@ -70,6 +76,7 @@ class MfccConfig:
     high_freq_hz: float = 7600.0
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.frame_length_ms <= 0 or self.frame_shift_ms <= 0:
             raise ValueError("frame length and shift must be positive")
         if self.frame_shift_ms > self.frame_length_ms:
@@ -139,15 +146,25 @@ def mel_filterbank(config: MfccConfig, sample_rate: int) -> np.ndarray:
 
     Centers are uniformly spaced on the mel scale between low_freq_hz and
     high_freq_hz and snapped to FFT bins; each filter peaks at weight 1.0
-    on its center bin.
+    on its center bin. Each bank is built once per (filter settings, sample
+    rate) and the same read-only array is returned to every caller.
     """
-    if config.high_freq_hz > sample_rate / 2.0:
-        raise ValueError("high_freq_hz exceeds the Nyquist frequency")
-    nfilt = config.num_mel_filters
-    nfft = config.fft_size
-    mel_pts = np.linspace(
-        hz_to_mel(config.low_freq_hz), hz_to_mel(config.high_freq_hz), nfilt + 2
+    return _mel_filterbank(
+        config.num_mel_filters,
+        config.fft_size,
+        config.low_freq_hz,
+        config.high_freq_hz,
+        sample_rate,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _mel_filterbank(
+    nfilt: int, nfft: int, low_hz: float, high_hz: float, sample_rate: int
+) -> np.ndarray:
+    if high_hz > sample_rate / 2.0:
+        raise ValueError("high_freq_hz exceeds the Nyquist frequency")
+    mel_pts = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), nfilt + 2)
     bins = np.floor((nfft + 1) * mel_to_hz(mel_pts) / sample_rate).astype(int)
     fbank = np.zeros((nfilt, nfft // 2 + 1))
     for j in range(nfilt):
@@ -159,6 +176,7 @@ def mel_filterbank(config: MfccConfig, sample_rate: int) -> np.ndarray:
         # Guarantees the unit peak even when neighboring edges collapse
         # onto the same bin at coarse FFT resolutions.
         fbank[j, center] = 1.0
+    fbank.flags.writeable = False
     return fbank
 
 

@@ -3,8 +3,13 @@
 Domain failures (bad audio, bad manifests, corrupt model files, degenerate
 analysis frames) get their own classes so callers can map them to exit codes
 or skip policies. Plain programming errors (dimension mismatches, invalid
-argument combinations) stay ValueError.
+argument combinations) and invalid config values stay ValueError; every
+config dataclass first rejects NaN and infinite values with
+require_finite_fields.
 """
+
+import dataclasses
+import math
 
 
 class DialectIdError(Exception):
@@ -69,3 +74,11 @@ class EmptyReportError(DialectIdError):
 
 class ConfigError(DialectIdError):
     """Configuration file is malformed or contains unknown keys."""
+
+
+def require_finite_fields(config) -> None:
+    """Raise ValueError if any float field of a config dataclass is NaN or infinite."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")

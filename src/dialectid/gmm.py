@@ -20,6 +20,7 @@ from .errors import (
     ModelFileError,
     ModelInvariantError,
     ModelVersionError,
+    require_finite_fields,
 )
 
 MODEL_MAGIC = b"GMM1"
@@ -35,6 +36,11 @@ EMPTY_COMPONENT_FRACTION = 1e-10
 # Absolute lower bound on the variance floor so constant dimensions cannot
 # produce zero variances.
 _MIN_VARIANCE = 1e-12
+
+# Frames per block in scoring, the E-step and the k-means assignment. It is
+# fixed, not tuned to the machine, so results never depend on the hardware;
+# working memory is O(BLOCK_FRAMES * M) instead of O(frames * M).
+BLOCK_FRAMES = 4096
 
 
 @dataclass(eq=False)
@@ -94,6 +100,7 @@ class TrainConfig:
     kmeans_max_iterations: int = 50
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.num_components < 1:
             raise ValueError("num_components must be at least 1")
         if self.max_em_iterations < 1:
@@ -111,31 +118,60 @@ def _check_dim(model: GmmModel, x: np.ndarray) -> None:
         raise ValueError(f"frame dim {x.shape[-1]} != model dim {model.dim}")
 
 
-def _log_joint(model: GmmModel, frames: np.ndarray) -> np.ndarray:
-    """log(w_i) + log N(x_t | mu_i, var_i) for every frame t, component i.
+def _kernel(
+    weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projection (M, 2D) and constant (M,) of the one-GEMM log-joint.
 
-    Returns shape (T, M). Zero weights map to -inf rows, which log-sum-exp
-    handles exactly.
+    log w_i + log N(x | mu_i, var_i) = [x^2, x] . proj_i + const_i, with
+    proj_i = [-1 / (2 var_i), mu_i / var_i] and
+    const_i = log w_i - (D log 2pi + sum log var_i + sum mu_i^2 / var_i) / 2.
+    Zero weights give -inf constants, which the log-sum-exp handles exactly.
     """
-    inv_var = 1.0 / model.variances
-    # -0.5 * (D log 2pi + sum_d log var_id) per component
-    log_norm = -0.5 * (
-        model.dim * math.log(2.0 * math.pi) + np.log(model.variances).sum(axis=1)
-    )
-    maha = (
-        (frames**2) @ inv_var.T
-        - 2.0 * (frames @ (model.means * inv_var).T)
-        + (model.means**2 * inv_var).sum(axis=1)[None, :]
-    )
+    inv_var = 1.0 / variances
+    scaled_means = means * inv_var
+    proj = np.hstack([-0.5 * inv_var, scaled_means])
     with np.errstate(divide="ignore"):
-        log_w = np.log(model.weights)
-    return log_w[None, :] + log_norm[None, :] - 0.5 * maha
+        log_w = np.log(weights)
+    const = log_w - 0.5 * (
+        means.shape[1] * math.log(2.0 * math.pi)
+        + np.log(variances).sum(axis=1)
+        + (means * scaled_means).sum(axis=1)
+    )
+    return proj, const
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = np.max(a, axis=1, keepdims=True)
-    # All-(-inf) rows cannot occur: weights sum to one, so max is finite.
-    return m[:, 0] + np.log(np.exp(a - m).sum(axis=1))
+def _squares_and_frames(frames: np.ndarray) -> np.ndarray:
+    """[x^2, x] per frame, shape (T, 2D): the left operand of the kernel."""
+    return np.hstack([frames * frames, frames])
+
+
+def _block_posteriors(
+    x2: np.ndarray, proj: np.ndarray, const: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame log-likelihoods of one block and the exps that give them.
+
+    Returns (frame_ll (B,), post (B, M), row_sum (B,)) where post holds
+    exp(log_joint - row max) and post / row_sum are the responsibilities,
+    so a single exp over the block serves the likelihood and the E-step.
+    """
+    post = x2 @ proj.T
+    post += const
+    peak = post.max(axis=1)
+    # All-(-inf) rows cannot occur: weights sum to one, so the max is finite.
+    post -= peak[:, None]
+    np.exp(post, out=post)
+    row_sum = post.sum(axis=1)
+    return peak + np.log(row_sum), post, row_sum
+
+
+def _frame_log_likelihoods(model: GmmModel, frames: np.ndarray) -> np.ndarray:
+    proj, const = _kernel(model.weights, model.means, model.variances)
+    out = np.empty(frames.shape[0])
+    for lo in range(0, frames.shape[0], BLOCK_FRAMES):
+        x2 = _squares_and_frames(frames[lo : lo + BLOCK_FRAMES])
+        out[lo : lo + x2.shape[0]] = _block_posteriors(x2, proj, const)[0]
+    return out
 
 
 def log_density_frame(model: GmmModel, x: np.ndarray) -> float:
@@ -144,7 +180,7 @@ def log_density_frame(model: GmmModel, x: np.ndarray) -> float:
     if x.ndim != 1:
         raise ValueError("frame must be a one-dimensional vector")
     _check_dim(model, x)
-    return float(_logsumexp_rows(_log_joint(model, x[None, :]))[0])
+    return float(_frame_log_likelihoods(model, x[None, :])[0])
 
 
 def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
@@ -159,7 +195,28 @@ def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
     if f.shape[0] < 1:
         raise ValueError("empty feature matrix")
     _check_dim(model, f)
-    return math.fsum(_logsumexp_rows(_log_joint(model, f)))
+    return math.fsum(_frame_log_likelihoods(model, f))
+
+
+def _accumulate(
+    x2: np.ndarray, proj: np.ndarray, const: np.ndarray, frame_ll: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """E-step over fixed frame blocks.
+
+    Fills frame_ll (T,) and returns the occupancy (M,) and the
+    [second-order, first-order] statistics (M, 2D), i.e. the sums over
+    frames of resp and resp * [x^2, x], added block by block in frame order.
+    """
+    occupancy = np.zeros(proj.shape[0])
+    stats = np.zeros(proj.shape)
+    for lo in range(0, x2.shape[0], BLOCK_FRAMES):
+        block = x2[lo : lo + BLOCK_FRAMES]
+        ll, post, row_sum = _block_posteriors(block, proj, const)
+        frame_ll[lo : lo + block.shape[0]] = ll
+        post /= row_sum[:, None]
+        occupancy += post.sum(axis=0)
+        stats += post.T @ block
+    return occupancy, stats
 
 
 def _check_training_data(data: np.ndarray, k: int) -> np.ndarray:
@@ -175,17 +232,59 @@ def _check_training_data(data: np.ndarray, k: int) -> np.ndarray:
     return data
 
 
-def _variance_floor(data: np.ndarray, factor: float) -> np.ndarray:
-    return np.maximum(factor * data.var(axis=0), _MIN_VARIANCE)
+def _variance_floor(data: np.ndarray, factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """(per-dimension variance floor, floored global variance) of the data."""
+    var = data.var(axis=0)
+    floor = np.maximum(factor * var, _MIN_VARIANCE)
+    return floor, np.maximum(var, floor)
 
 
-def _nearest_sq_dist(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        (data**2).sum(axis=1)[:, None]
-        - 2.0 * data @ centers.T
-        + (centers**2).sum(axis=1)[None, :]
+def _sq_dist_to(data: np.ndarray, sq_norms: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared distance of every frame to one center, as one mat-vec."""
+    d2 = data @ center
+    d2 *= -2.0
+    d2 += sq_norms
+    d2 += center @ center
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _assign(
+    data: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center per frame and its squared distance, block by block.
+
+    The frame's own squared norm does not change which center is nearest,
+    so it is added only to the minimum. Ties go to the lowest index.
+    """
+    center_norms = (centers * centers).sum(axis=1)
+    t = data.shape[0]
+    assignment = np.empty(t, dtype=np.intp)
+    min_d2 = np.empty(t)
+    for lo in range(0, t, BLOCK_FRAMES):
+        d2 = data[lo : lo + BLOCK_FRAMES] @ centers.T
+        d2 *= -2.0
+        d2 += center_norms
+        nearest = d2.argmin(axis=1)
+        hi = lo + nearest.size
+        assignment[lo:hi] = nearest
+        min_d2[lo:hi] = np.take_along_axis(d2, nearest[:, None], axis=1)[:, 0]
+    min_d2 += sq_norms
+    return assignment, np.maximum(min_d2, 0.0, out=min_d2)
+
+
+def _cluster_means(
+    columns: np.ndarray, assignment: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Per-cluster mean of frames stored column-wise (D, T), shape (k, D).
+
+    Each dimension is summed per cluster by one weighted np.bincount, which
+    adds frames in frame order; empty clusters get zero means.
+    """
+    sums = np.stack(
+        [np.bincount(assignment, weights=c, minlength=counts.size) for c in columns],
+        axis=1,
     )
-    return np.maximum(d2, 0.0)
+    return sums / np.maximum(counts, 1)[:, None]
 
 
 def kmeans_init(
@@ -207,48 +306,42 @@ def kmeans_init(
     data = _check_training_data(data, k)
     t = data.shape[0]
     rng = np.random.default_rng(seed)
-    floor = _variance_floor(data, variance_floor_factor)
-    global_var = np.maximum(data.var(axis=0), floor)
+    floor, global_var = _variance_floor(data, variance_floor_factor)
+    sq_norms = (data * data).sum(axis=1)
+    columns = np.ascontiguousarray(data.T)
 
     centers = np.empty((k, data.shape[1]))
     centers[0] = data[int(rng.integers(t))]
-    min_d2 = ((data - centers[0]) ** 2).sum(axis=1)
+    min_d2 = _sq_dist_to(data, sq_norms, centers[0])
     for j in range(1, k):
         centers[j] = data[int(np.argmax(min_d2))]
-        min_d2 = np.minimum(min_d2, ((data - centers[j]) ** 2).sum(axis=1))
+        np.minimum(min_d2, _sq_dist_to(data, sq_norms, centers[j]), out=min_d2)
 
-    assignment = np.argmin(_nearest_sq_dist(data, centers), axis=1)
+    assignment, _ = _assign(data, sq_norms, centers)
     for _ in range(max_iterations):
-        for j in range(k):
-            members = assignment == j
-            if members.any():
-                centers[j] = data[members].mean(axis=0)
-        d2 = _nearest_sq_dist(data, centers)
-        new_assignment = np.argmin(d2, axis=1)
-        empty = np.setdiff1d(np.arange(k), np.unique(new_assignment))
+        counts = np.bincount(assignment, minlength=k)
+        nonempty = counts > 0
+        centers[nonempty] = _cluster_means(columns, assignment, counts)[nonempty]
+        new_assignment, min_d2 = _assign(data, sq_norms, centers)
+        empty = np.flatnonzero(np.bincount(new_assignment, minlength=k) == 0)
         if empty.size:
             # Re-seed empty clusters at the frames farthest from any center.
-            order = np.argsort(-d2.min(axis=1))
-            for j, idx in zip(empty, order[: empty.size]):
-                centers[j] = data[idx]
-            new_assignment = np.argmin(_nearest_sq_dist(data, centers), axis=1)
+            farthest = np.argsort(-min_d2, kind="stable")[: empty.size]
+            centers[empty] = data[farthest]
+            new_assignment, _ = _assign(data, sq_norms, centers)
         if np.array_equal(new_assignment, assignment):
-            assignment = new_assignment
             break
         assignment = new_assignment
 
-    weights = np.zeros(k)
-    variances = np.empty((k, data.shape[1]))
-    for j in range(k):
-        members = assignment == j
-        count = int(members.sum())
-        weights[j] = count / t
-        if count:
-            centers[j] = data[members].mean(axis=0)
-            variances[j] = np.maximum(data[members].var(axis=0), floor)
-        else:
-            variances[j] = global_var
-    return GmmModel(weights, centers, variances)
+    counts = np.bincount(assignment, minlength=k)
+    nonempty = counts > 0
+    means = _cluster_means(columns, assignment, counts)
+    centers[nonempty] = means[nonempty]
+    deviations = columns - means.T[:, assignment]
+    deviations *= deviations
+    cluster_var = np.maximum(_cluster_means(deviations, assignment, counts), floor)
+    variances = np.where(nonempty[:, None], cluster_var, global_var)
+    return GmmModel(counts / t, centers, variances)
 
 
 def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]]:
@@ -258,12 +351,13 @@ def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]
     float noise) as long as no component dies. A component whose
     responsibility mass falls below EMPTY_COMPONENT_FRACTION * num_frames is
     re-seeded at the lowest-likelihood frame with the global variance and a
-    1/num_frames weight, keeping the component count fixed.
+    1/num_frames weight, keeping the component count fixed. The E-step runs
+    over blocks of BLOCK_FRAMES frames, so its working memory does not grow
+    with the frame count beyond the [x^2, x] matrix built once per fit.
     """
     data = _check_training_data(data, config.num_components)
-    t = data.shape[0]
-    floor = _variance_floor(data, config.variance_floor_factor)
-    global_var = np.maximum(data.var(axis=0), floor)
+    t, dim = data.shape
+    floor, global_var = _variance_floor(data, config.variance_floor_factor)
 
     model = kmeans_init(
         data,
@@ -272,15 +366,15 @@ def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]
         config.kmeans_max_iterations,
         config.variance_floor_factor,
     )
-    weights = model.weights.copy()
-    means = model.means.copy()
-    variances = model.variances.copy()
+    weights = model.weights
+    means = model.means
+    variances = model.variances
 
+    x2 = _squares_and_frames(data)
+    frame_ll = np.empty(t)
     trace: list[float] = []
     for iteration in range(config.max_em_iterations):
-        current = GmmModel(weights, means, variances)
-        log_joint = _log_joint(current, data)
-        frame_ll = _logsumexp_rows(log_joint)
+        occupancy, stats = _accumulate(x2, *_kernel(weights, means, variances), frame_ll)
         total = math.fsum(frame_ll)
         trace.append(total)
         if iteration > 0:
@@ -288,14 +382,12 @@ def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]
             if total - previous < config.convergence_tol * (abs(previous) + 1e-12):
                 break
 
-        resp = np.exp(log_joint - frame_ll[:, None])
-        mass = resp.sum(axis=0)
-        alive = mass >= EMPTY_COMPONENT_FRACTION * t
+        alive = occupancy >= EMPTY_COMPONENT_FRACTION * t
 
-        safe_mass = np.where(alive, mass, 1.0)
-        new_means = (resp.T @ data) / safe_mass[:, None]
-        new_vars = (resp.T @ (data**2)) / safe_mass[:, None] - new_means**2
-        new_weights = mass / t
+        safe_mass = np.where(alive, occupancy, 1.0)[:, None]
+        new_means = stats[:, dim:] / safe_mass
+        new_vars = stats[:, :dim] / safe_mass - new_means**2
+        new_weights = occupancy / t
 
         if not alive.all():
             dead = np.flatnonzero(~alive)

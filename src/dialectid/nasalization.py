@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import AudioSignal
-from .errors import DegenerateFrame, EmptyReportError, SignalTooShort, UnstableFrame
+from .errors import (
+    DegenerateFrame,
+    EmptyReportError,
+    SignalTooShort,
+    UnstableFrame,
+    require_finite_fields,
+)
 from .labels import DialectLabel
 
 COMPARABLE_MARGIN_DB = 0.5
@@ -35,6 +41,7 @@ class NasalConfig:
     prominence_span_hz: float = 250.0
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.frame_length_ms <= 0 or self.frame_shift_ms <= 0:
             raise ValueError("frame length and shift must be positive")
         if self.frame_shift_ms > self.frame_length_ms:

@@ -135,6 +135,70 @@ def gmm_density_ref(weights, means, variances, x):
     return float(np.log(total))
 
 
+def nearest_center_ref(data, centers):
+    """Index of the nearest center per frame, one center at a time from
+    sum((x - c)^2); a strictly smaller distance is needed to move, so ties
+    stay with the lowest index."""
+    best = np.full(data.shape[0], np.inf)
+    assignment = np.zeros(data.shape[0], dtype=int)
+    for j, c in enumerate(centers):
+        d2 = ((data - c) ** 2).sum(axis=1)
+        closer = d2 < best
+        best[closer] = d2[closer]
+        assignment[closer] = j
+    return assignment
+
+
+def lloyd_update_ref(data, assignment, k):
+    """Per-cluster counts, means and variances from a mask loop over clusters.
+
+    Empty clusters get zero means and variances.
+    """
+    counts = np.zeros(k, dtype=int)
+    means = np.zeros((k, data.shape[1]))
+    variances = np.zeros((k, data.shape[1]))
+    for j in range(k):
+        members = data[assignment == j]
+        counts[j] = members.shape[0]
+        if counts[j]:
+            means[j] = members.mean(axis=0)
+            variances[j] = ((members - means[j]) ** 2).mean(axis=0)
+    return counts, means, variances
+
+
+def em_iteration_ref(data, weights, means, variances):
+    """E-step of one EM iteration from the textbook definitions.
+
+    The log-joint log w_i + log N(x_t | mu_i, var_i) is summed one
+    (component, dimension) pair at a time from (x - mu)^2 / var, never
+    expanded into [x^2, x] products. Responsibilities take a second exp
+    of the log-joint minus the log-sum-exp over the whole matrix, and the
+    statistics are per-component weighted sums.
+
+    Returns (frame_ll (T,), resp (T, M), occupancy (M,), first (M, D),
+    second (M, D)) with first = sum_t r x and second = sum_t r x^2.
+    """
+    t, dim = data.shape
+    m = len(weights)
+    columns = np.ascontiguousarray(data.T)
+    log_joint = np.empty((m, t))
+    for i in range(m):
+        acc = np.full(t, math.log(weights[i]))
+        for d in range(dim):
+            z = columns[d] - means[i, d]
+            acc -= 0.5 * (z * z / variances[i, d] + math.log(2.0 * math.pi * variances[i, d]))
+        log_joint[i] = acc
+    peak = log_joint.max(axis=0)
+    frame_ll = peak + np.log(np.exp(log_joint - peak).sum(axis=0))
+    resp = np.exp(log_joint - frame_ll)
+    occupancy = np.array([resp[i].sum() for i in range(m)])
+    first = np.array([[(resp[i] * columns[d]).sum() for d in range(dim)] for i in range(m)])
+    second = np.array(
+        [[(resp[i] * columns[d] ** 2).sum() for d in range(dim)] for i in range(m)]
+    )
+    return frame_ll, resp.T, occupancy, first, second
+
+
 def autocorr_ref(x, max_lag):
     n = len(x)
     return np.array(

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dialectid
 import reference
 from dialectid.cli import run
 from dialectid.corpus import Split, load_manifest, read_audio, write_manifest, write_wav
@@ -120,6 +124,7 @@ class TestExtract:
             "no equals sign here",
             "mfcc.num_filters = abc",
             "mfcc.num_filters = 0",
+            "mfcc.frame_length_ms = inf",
         ],
     )
     def test_bad_config_lines(self, tiny_corpus, tmp_path, line, capsys):
@@ -170,6 +175,20 @@ class TestTrainAndClassify:
             outs.append(out)
         for piece in ("lt.gmm", "ct.gmm"):
             assert (outs[0] / piece).read_bytes() == (outs[1] / piece).read_bytes()
+
+    def test_non_finite_train_config_is_a_data_error(self, tiny_corpus, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("train.convergence_tol = nan\n")
+        code = run(
+            [
+                "train", "--manifest", tiny_corpus.manifest_path, "--components", "1",
+                "--out", str(tmp_path / "m"), "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "convergence_tol" in err
+        assert "Traceback" not in err
 
     def test_corrupt_bundle_is_a_data_error(self, bundle_dir, tiny_corpus, tmp_path, capsys):
         wav = tiny_corpus.manifest.records[0].audio_path
@@ -432,3 +451,19 @@ class TestSynth:
         first = (tmp_path / "c" / "manifest.tsv").read_bytes()
         assert run(args + ["--out", str(tmp_path / "c")]) == 0
         assert (tmp_path / "c" / "manifest.tsv").read_bytes() == first
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal takes most of a bare CLI start; only synthesis needs it.
+        src = os.path.dirname(os.path.dirname(dialectid.__file__))
+        probe = "import sys, dialectid.cli; print('scipy.signal' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"

@@ -117,6 +117,13 @@ class TestFilterbank:
         assert np.all(bank >= 0.0)
         assert np.allclose(bank.max(axis=1), 1.0)
 
+    def test_cached_bank_is_shared_and_read_only(self):
+        bank = mel_filterbank(MfccConfig(), SR)
+        assert mel_filterbank(MfccConfig(), SR) is bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 5.0
+        assert mel_filterbank(MfccConfig(num_mel_filters=20), SR).shape == (20, 257)
+
     def test_zero_spectrum_hits_the_log_floor(self):
         logs = mel_filterbank_energies(np.zeros((3, 257)), MfccConfig(), SR)
         assert np.array_equal(logs, np.full((3, 26), math.log(ENERGY_FLOOR)))
@@ -305,6 +312,9 @@ class TestConfigValidation:
             {"preemphasis_coeff": 1.0},
             {"low_freq_hz": 8000.0, "high_freq_hz": 100.0},
             {"delta_window": 0},
+            {"frame_length_ms": math.inf},
+            {"frame_shift_ms": math.nan},
+            {"high_freq_hz": math.inf},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

@@ -2,11 +2,13 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
+from dialectid import gmm
 from dialectid.errors import (
     FewerFramesThanComponents,
     ModelFileError,
@@ -14,6 +16,7 @@ from dialectid.errors import (
     ModelVersionError,
 )
 from dialectid.gmm import (
+    BLOCK_FRAMES,
     GmmModel,
     TrainConfig,
     em_fit,
@@ -201,6 +204,111 @@ class TestEmFit:
             em_fit(data, TrainConfig(num_components=1))
 
 
+def rel_err(got, want):
+    """Largest absolute difference relative to the largest reference entry."""
+    return float(np.abs(np.asarray(got) - want).max() / np.abs(want).max())
+
+
+def blob_frames(rng, t, num_blobs, spread, dim=39):
+    """t frames around num_blobs centers, every blob used, labels shuffled."""
+    centers = rng.standard_normal((num_blobs, dim)) * spread
+    labels = rng.permutation(np.arange(t) % num_blobs)
+    return centers[labels] + rng.standard_normal((t, dim))
+
+
+# Frame counts that end just before, on and just after block boundaries.
+BLOCK_EDGE_FRAMES = [
+    BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 3
+]
+
+
+class TestBatchedKernelsAgainstReferences:
+    @pytest.mark.parametrize("t", BLOCK_EDGE_FRAMES)
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_kmeans_update_matches_per_cluster_loop(self, m, t):
+        # Separated blobs, one per component, so k-means converges and its
+        # centers are the means of their own nearest-center assignment.
+        rng = np.random.default_rng(m + t)
+        data = blob_frames(rng, t, m, spread=10.0)
+        model = kmeans_init(data, m, seed=0)
+        assignment = reference.nearest_center_ref(data, model.means)
+        counts, means, variances = reference.lloyd_update_ref(data, assignment, m)
+        floor = np.maximum(1e-3 * data.var(axis=0), 1e-12)
+        assert np.array_equal(model.weights, counts / t)
+        assert rel_err(model.means, means) <= 1e-9
+        assert rel_err(model.variances, np.maximum(variances, floor)) <= 1e-9
+
+    def test_cluster_means_skip_empty_clusters(self):
+        rng = np.random.default_rng(40)
+        data = rng.standard_normal((BLOCK_FRAMES + 1, 39))
+        assignment = rng.integers(1, 15, data.shape[0])
+        counts = np.bincount(assignment, minlength=16)
+        _, means, _ = reference.lloyd_update_ref(data, assignment, 16)
+        got = gmm._cluster_means(np.ascontiguousarray(data.T), assignment, counts)
+        assert np.array_equal(got[[0, 15]], np.zeros((2, 39)))
+        assert rel_err(got, means) <= 1e-9
+
+    @pytest.mark.parametrize("t", BLOCK_EDGE_FRAMES)
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_em_iteration_matches_double_loop(self, m, t):
+        rng = np.random.default_rng(m * t)
+        data = blob_frames(rng, t, m // 2, spread=1.5)
+        init = kmeans_init(data, m, seed=0, max_iterations=8)
+        frame_ll, resp, occupancy, first, second = reference.em_iteration_ref(
+            data, init.weights, init.means, init.variances
+        )
+
+        proj, const = gmm._kernel(init.weights, init.means, init.variances)
+        x2 = gmm._squares_and_frames(data)
+        got_ll = np.empty(t)
+        got_occupancy, got_stats = gmm._accumulate(x2, proj, const, got_ll)
+        assert rel_err(got_ll, frame_ll) <= 1e-9
+        assert rel_err(got_occupancy, occupancy) <= 1e-9
+        assert rel_err(got_stats[:, 39:], first) <= 1e-9
+        assert rel_err(got_stats[:, :39], second) <= 1e-9
+        for lo in range(0, t, BLOCK_FRAMES):
+            _, post, row_sum = gmm._block_posteriors(x2[lo : lo + BLOCK_FRAMES], proj, const)
+            assert rel_err(post / row_sum[:, None], resp[lo : lo + BLOCK_FRAMES]) <= 1e-9
+
+        model, trace = em_fit(
+            data, TrainConfig(num_components=m, max_em_iterations=1, kmeans_max_iterations=8)
+        )
+        means = first / occupancy[:, None]
+        floor = np.maximum(1e-3 * data.var(axis=0), 1e-12)
+        variances = np.maximum(second / occupancy[:, None] - means**2, floor)
+        assert abs(trace[0] - math.fsum(frame_ll)) <= 1e-9 * abs(trace[0])
+        assert rel_err(model.weights, occupancy / t) <= 1e-9
+        assert rel_err(model.means, means) <= 1e-9
+        assert rel_err(model.variances, variances) <= 1e-9
+
+    def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
+        rng = np.random.default_rng(41)
+        model = random_model(rng, 256, 39)
+        feats = rng.uniform(-3.0, 3.0, (6, 39))
+        want = math.fsum(
+            reference.gmm_density_ref(model.weights, model.means, model.variances, x)
+            for x in feats
+        )
+        got = log_likelihood_sequence(model, feats)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestEmFitMemory:
+    def test_peak_stays_below_one_frames_by_components_array(self):
+        # The E-step and the k-means assignment work in frame blocks, so
+        # nothing of size frames x components is ever allocated.
+        t, m = 32768, 256
+        data = np.random.default_rng(42).standard_normal((t, 39))
+        config = TrainConfig(num_components=m, max_em_iterations=2, kmeans_max_iterations=2)
+        tracemalloc.start()
+        try:
+            em_fit(data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t * m * 8
+
+
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -210,6 +318,11 @@ class TestTrainConfigValidation:
             {"num_components": 2, "convergence_tol": 0.0},
             {"num_components": 2, "variance_floor_factor": -1.0},
             {"num_components": 2, "kmeans_max_iterations": 0},
+            {"num_components": 2, "convergence_tol": math.nan},
+            {"num_components": 2, "convergence_tol": math.inf},
+            {"num_components": 2, "variance_floor_factor": math.inf},
+            {"num_components": 2, "variance_floor_factor": -math.inf},
+            {"num_components": math.nan},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

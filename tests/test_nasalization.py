@@ -319,3 +319,19 @@ class TestDegreeComparison:
             compare_degree(empty, full)
         with pytest.raises(EmptyReportError):
             compare_degree(full, empty)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"frame_length_ms": math.inf},
+            {"frame_shift_ms": math.nan},
+            {"band_high_hz": math.inf},
+            {"prominence_db": math.inf},
+            {"prominence_span_hz": math.nan},
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            NasalConfig(**kwargs)
