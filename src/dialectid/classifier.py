@@ -256,13 +256,24 @@ def save_bundle(bundle: ClassifierBundle, directory) -> None:
         fh.write("\n")
 
 
+def _bundle_member(directory, descriptor: dict, key: str, path) -> str:
+    """Path of a model named in the descriptor; the name must be a plain
+    file name inside the bundle directory."""
+    name = descriptor.get(key)
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise DialectIdError(f"{path}: {key} must be a file name inside the bundle, got {name!r}")
+    return os.path.join(directory, name)
+
+
 def load_bundle(directory) -> ClassifierBundle:
     path = os.path.join(directory, BUNDLE_DESCRIPTOR)
     try:
         with open(path, encoding="utf-8") as fh:
             descriptor = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DialectIdError(f"{path}: invalid bundle descriptor ({exc})") from None
+    if not isinstance(descriptor, dict):
+        raise DialectIdError(f"{path}: bundle descriptor is not a JSON object")
     if descriptor.get("format") != "dialectid-bundle" or descriptor.get("version") != 1:
         raise DialectIdError(f"{path}: not a recognized bundle descriptor")
     try:
@@ -270,6 +281,9 @@ def load_bundle(directory) -> ClassifierBundle:
         train_config = TrainConfig(**descriptor["train_config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DialectIdError(f"{path}: bad config in descriptor ({exc})") from None
-    lt_model = load_model(os.path.join(directory, descriptor["lt_model"]))
-    ct_model = load_model(os.path.join(directory, descriptor["ct_model"]))
-    return ClassifierBundle(lt_model, ct_model, feature_config, train_config)
+    lt_model = load_model(_bundle_member(directory, descriptor, "lt_model", path))
+    ct_model = load_model(_bundle_member(directory, descriptor, "ct_model", path))
+    try:
+        return ClassifierBundle(lt_model, ct_model, feature_config, train_config)
+    except ValueError as exc:
+        raise DialectIdError(f"{path}: {exc}") from None

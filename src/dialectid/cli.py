@@ -346,6 +346,16 @@ def _load_segment(path, start, end):
     return signal
 
 
+def _write_spectra(path, freqs, spectra) -> None:
+    """One block per frame: "# frame N", then "frequency dB" lines at full
+    float precision (repr), then a blank line."""
+    prefixes = [f"{f!r} " for f in freqs.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        for index, db in spectra:
+            body = "\n".join(map(str.__add__, prefixes, map(repr, db.tolist())))
+            fh.write(f"# frame {index}\n{body}\n\n")
+
+
 def cmd_nasal(args, kv) -> int:
     config = _nasal_config(args, kv)
     paired = args.lt_audio is not None or args.ct_audio is not None
@@ -384,13 +394,7 @@ def cmd_nasal(args, kv) -> int:
     signal = _load_segment(args.audio, args.start, args.end)
     report = analyze_segment(signal, config)
     if args.dump_spectra:
-        freqs, spectra = segment_lp_spectra(signal, config)
-        with open(args.dump_spectra, "w", encoding="utf-8") as fh:
-            for index, db in spectra:
-                fh.write(f"# frame {index}\n")
-                for f, v in zip(freqs, db):
-                    fh.write(f"{float(f)!r} {float(v)!r}\n")
-                fh.write("\n")
+        _write_spectra(args.dump_spectra, *segment_lp_spectra(signal, config))
     _emit(args, "\n".join(_nasal_report_lines("segment", report)), _nasal_records("segment", report))
     return 0
 

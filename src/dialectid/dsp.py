@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import (
     FeatureFileError,
@@ -119,7 +118,9 @@ def frame_signal(signal: AudioSignal, config: MfccConfig) -> np.ndarray:
 
     Returns an array of shape (num_frames, frame_samples) where
     num_frames = floor((N - L) / H) + 1. Trailing samples that do not fill
-    a whole frame are dropped. Raises SignalTooShort when N < L.
+    a whole frame are dropped. Raises SignalTooShort when N < L. Any config
+    with frame_samples/hop_samples will do; the nasal analyzer passes its
+    NasalConfig.
     """
     length = config.frame_samples(signal.sample_rate)
     hop = config.hop_samples(signal.sample_rate)
@@ -180,6 +181,21 @@ def _mel_filterbank(
     return fbank
 
 
+@functools.lru_cache(maxsize=16)
+def _dct_basis(n: int, keep: int) -> np.ndarray:
+    """Orthonormal DCT-II basis, shape (n, keep), read-only.
+
+    x @ _dct_basis(n, keep) gives the first `keep` orthonormal DCT-II
+    coefficients of each row of x (length n): column k is
+    s_k cos(pi k (2i + 1) / 2n), with s_0 = sqrt(1/n) and s_k = sqrt(2/n).
+    """
+    k = np.arange(keep)
+    basis = np.cos(np.pi * np.outer(2 * np.arange(n) + 1, k) / (2 * n))
+    basis *= np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    basis.flags.writeable = False
+    return basis
+
+
 def mel_filterbank_energies(
     power_spectrum: np.ndarray,
     config: MfccConfig,
@@ -221,8 +237,7 @@ def extract_mfcc13(signal: AudioSignal, config: MfccConfig | None = None) -> np.
     spectrum = np.fft.rfft(frames, n=config.fft_size, axis=1)
     power = np.abs(spectrum) ** 2
     log_mel = mel_filterbank_energies(power, config, signal.sample_rate)
-    cepstra = dct(log_mel, type=2, norm="ortho", axis=1)
-    return np.ascontiguousarray(cepstra[:, : config.num_cepstra])
+    return log_mel @ _dct_basis(config.num_mel_filters, config.num_cepstra)
 
 
 def _regression_delta(x: np.ndarray, window: int) -> np.ndarray:

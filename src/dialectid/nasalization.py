@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AudioSignal
+from .dsp import AudioSignal, frame_signal
 from .errors import (
     DegenerateFrame,
     EmptyReportError,
-    SignalTooShort,
     UnstableFrame,
     require_finite_fields,
 )
@@ -50,6 +49,8 @@ class NasalConfig:
             raise ValueError("lpc_order must be at least 1")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two")
+        if self.fft_size < self.lpc_order + 1:
+            raise ValueError("fft_size must exceed the LP order")
         if not 0.0 < self.band_low_hz < self.band_high_hz:
             raise ValueError("need 0 < band_low_hz < band_high_hz")
         if self.prominence_db < 0.0:
@@ -120,6 +121,82 @@ class DegreeComparison:
     difference_db: float
 
 
+# Per-frame status of the batched Levinson-Durbin recursion.
+LP_OK = 0
+LP_DEGENERATE = 1  # r[0] <= energy threshold (digital silence)
+LP_UNSTABLE = 2  # prediction error reached zero or below
+
+
+def _autocorrelations(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation of every row: (F, N) -> (F, max_lag + 1)."""
+    n = frames.shape[1]
+    r = np.empty((frames.shape[0], max_lag + 1))
+    for k in range(max_lag + 1):
+        r[:, k] = np.einsum("ij,ij->i", frames[:, : n - k], frames[:, k:])
+    return r
+
+
+def _levinson_batch(
+    r: np.ndarray, order: int, energy_threshold: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levinson-Durbin on every row of r at once, looping only over the order.
+
+    Returns (coefficients (F, order), error powers (F,), status (F,)).
+    A frame that fails keeps its coefficients from the last good order and
+    a unit error, so later orders stay finite; only LP_OK rows are valid.
+    """
+    status = np.where(r[:, 0] <= energy_threshold, LP_DEGENERATE, LP_OK)
+    failed = status != LP_OK
+    a = np.zeros((r.shape[0], order))
+    error = np.where(failed, 1.0, r[:, 0])
+    with np.errstate(over="ignore"):
+        for i in range(1, order + 1):
+            prev = a[:, : i - 1]
+            acc = r[:, i] - np.einsum("ij,ij->i", prev, r[:, i - 1 : 0 : -1])
+            k = acc / error
+            error = error * (1.0 - k * k)
+            unstable = (error <= 0.0) & ~failed
+            status[unstable] = LP_UNSTABLE
+            failed |= unstable
+            k[failed] = 0.0
+            error[failed] = 1.0
+            a[:, : i - 1] = prev - k[:, None] * prev[:, ::-1]
+            a[:, i - 1] = k
+    return a, error, status
+
+
+def _lp_spectra_db(coefficients: np.ndarray, gains: np.ndarray, fft_size: int) -> np.ndarray:
+    """10*log10(gain / |A(e^jw)|^2) per row, one rfft over the batch."""
+    poly = np.empty((coefficients.shape[0], coefficients.shape[1] + 1))
+    poly[:, 0] = 1.0
+    poly[:, 1:] = -coefficients
+    denom = np.abs(np.fft.rfft(poly, fft_size, axis=1)) ** 2
+    return 10.0 * np.log10(gains[:, None] / denom)
+
+
+def _band_peaks(
+    db: np.ndarray, fft_size: int, sample_rate: int, config: NasalConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(peak bin, detected) for every row of db; see find_band_peak."""
+    width = db.shape[1]
+    lo = max(int(np.ceil(config.band_low_hz * fft_size / sample_rate)), 0)
+    hi = min(int(np.floor(config.band_high_hz * fft_size / sample_rate)), width - 1)
+    if lo > hi:
+        raise ValueError("search band contains no FFT bins at this resolution")
+    p = lo + np.argmax(db[:, lo : hi + 1], axis=1)
+    span = max(1, int(round(config.prominence_span_hz * fft_size / sample_rate)))
+    # Windows run from the peak outwards; the +inf padding past either end
+    # of the spectrum never wins a minimum.
+    padded = np.pad(db, ((0, 0), (span, span)), constant_values=np.inf)
+    centre = p[:, None] + span
+    left = np.take_along_axis(padded, centre - np.arange(span + 1), axis=1)
+    right = np.take_along_axis(padded, centre + np.arange(span + 1), axis=1)
+    top = left[:, 0]
+    local_max = ((p == 0) | (top >= left[:, 1])) & ((p == width - 1) | (top >= right[:, 1]))
+    prominence = top - np.maximum(left.min(axis=1), right.min(axis=1))
+    return p, local_max & (prominence >= config.prominence_db)
+
+
 def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased autocorrelation r[k] = sum_n frame[n] * frame[n+k], k <= max_lag."""
     x = np.asarray(frame, dtype=np.float64)
@@ -131,8 +208,7 @@ def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
         raise ValueError(
             f"frame of {x.size} samples is too short for lag {max_lag}"
         )
-    n = x.size
-    return np.array([x[: n - k] @ x[k:] for k in range(max_lag + 1)])
+    return _autocorrelations(x[None, :], max_lag)[0]
 
 
 def levinson_durbin(autocorr: np.ndarray, order: int, energy_threshold: float = 0.0) -> LpcFrame:
@@ -148,22 +224,12 @@ def levinson_durbin(autocorr: np.ndarray, order: int, energy_threshold: float = 
         raise ValueError(f"need at least order+1={order + 1} autocorrelation lags")
     if order < 1:
         raise ValueError("order must be at least 1")
-    if r[0] <= energy_threshold:
+    a, error, status = _levinson_batch(r[None, : order + 1], order, energy_threshold)
+    if status[0] == LP_DEGENERATE:
         raise DegenerateFrame(f"frame energy {r[0]!r} is at or below threshold")
-
-    a = np.zeros(order)
-    error = float(r[0])
-    for i in range(1, order + 1):
-        acc = r[i] - a[: i - 1] @ r[i - 1 : 0 : -1]
-        k = acc / error
-        new_a = a.copy()
-        new_a[i - 1] = k
-        new_a[: i - 1] = a[: i - 1] - k * a[: i - 1][::-1]
-        a = new_a
-        error *= 1.0 - k * k
-        if error <= 0.0:
-            raise UnstableFrame(f"prediction error vanished at order {i}")
-    return LpcFrame(a, error, order)
+    if status[0] == LP_UNSTABLE:
+        raise UnstableFrame("prediction error vanished before the final order")
+    return LpcFrame(a[0], float(error[0]), order)
 
 
 def lp_spectrum(lpc: LpcFrame, fft_size: int, sample_rate: int) -> np.ndarray:
@@ -176,10 +242,7 @@ def lp_spectrum(lpc: LpcFrame, fft_size: int, sample_rate: int) -> np.ndarray:
         raise ValueError("fft_size must be a power of two")
     if fft_size < lpc.order + 1:
         raise ValueError("fft_size must exceed the LP order")
-    poly = np.concatenate(([1.0], -lpc.coefficients))
-    response = np.fft.rfft(poly, fft_size)
-    denom = np.abs(response) ** 2
-    return 10.0 * np.log10(lpc.gain / denom)
+    return _lp_spectra_db(lpc.coefficients[None, :], np.array([lpc.gain]), fft_size)[0]
 
 
 def spectrum_frequencies(fft_size: int, sample_rate: int) -> np.ndarray:
@@ -197,39 +260,35 @@ def find_band_peak(
     span minima rather than the nearest dip keeps the gate stable when
     high-order LP fits add small wiggles around a real resonance.
     """
-    lo = int(np.ceil(config.band_low_hz * fft_size / sample_rate))
-    hi = int(np.floor(config.band_high_hz * fft_size / sample_rate))
-    lo = max(lo, 0)
-    hi = min(hi, len(db) - 1)
-    if lo > hi:
-        raise ValueError("search band contains no FFT bins at this resolution")
-    p = lo + int(np.argmax(db[lo : hi + 1]))
-    peak = FormantPeak(p * sample_rate / fft_size, float(db[p]))
-
-    local_max = (p == 0 or db[p] >= db[p - 1]) and (p == len(db) - 1 or db[p] >= db[p + 1])
-    detected = False
-    if local_max:
-        span = max(1, int(round(config.prominence_span_hz * fft_size / sample_rate)))
-        left = float(db[max(0, p - span) : p + 1].min())
-        right = float(db[p : min(len(db), p + span + 1)].min())
-        prominence = float(db[p]) - max(left, right)
-        detected = prominence >= config.prominence_db
-    return peak, detected
+    db = np.asarray(db, dtype=np.float64)
+    p, detected = _band_peaks(db[None, :], fft_size, sample_rate, config)
+    p = int(p[0])
+    return FormantPeak(p * sample_rate / fft_size, float(db[p])), bool(detected[0])
 
 
-def _analysis_frames(signal: AudioSignal, config: NasalConfig) -> np.ndarray:
-    length = config.frame_samples(signal.sample_rate)
-    hop = config.hop_samples(signal.sample_rate)
-    n = signal.samples.size
-    if n < length:
-        raise SignalTooShort(
-            f"segment has {n} samples, need at least {length} for one frame"
-        )
-    num_frames = (n - length) // hop + 1
-    idx = hop * np.arange(num_frames)[:, None] + np.arange(length)[None, :]
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty finite vector, bit for bit. np.median
+    imports numpy.ma on first use, about 40 ms of a one-shot CLI process."""
+    s = np.sort(values)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
+def _lp_analysis(
+    signal: AudioSignal, config: NasalConfig
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(frame count, indices of analyzable frames, their LP spectra in dB).
+
+    Degenerate and unstable frames are left out; the indices keep their
+    place in the original frame sequence.
+    """
     # No pre-emphasis here: the low band under scrutiny is exactly what
     # pre-emphasis would attenuate.
-    return signal.samples[idx] * np.hamming(length)
+    frames = frame_signal(signal, config)
+    r = _autocorrelations(frames, config.lpc_order)
+    coefficients, gains, status = _levinson_batch(r, config.lpc_order)
+    ok = np.flatnonzero(status == LP_OK)
+    return frames.shape[0], ok, _lp_spectra_db(coefficients[ok], gains[ok], config.fft_size)
 
 
 def segment_lp_spectra(
@@ -241,46 +300,34 @@ def segment_lp_spectra(
     the original frame sequence.
     """
     config = config or NasalConfig()
-    frames = _analysis_frames(signal, config)
-    spectra = []
-    for t, frame in enumerate(frames):
-        try:
-            r = autocorrelation(frame, config.lpc_order)
-            lpc = levinson_durbin(r, config.lpc_order)
-        except (DegenerateFrame, UnstableFrame):
-            continue
-        spectra.append((t, lp_spectrum(lpc, config.fft_size, signal.sample_rate)))
-    return spectrum_frequencies(config.fft_size, signal.sample_rate), spectra
+    _, indices, spectra = _lp_analysis(signal, config)
+    freqs = spectrum_frequencies(config.fft_size, signal.sample_rate)
+    return freqs, list(zip(indices.tolist(), spectra))
 
 
 def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> NasalizationReport:
     """Frame-by-frame low-band peak analysis of one segment."""
     config = config or NasalConfig()
-    frames = _analysis_frames(signal, config)
-    frame_peaks = []
-    detected = 0
-    for t, frame in enumerate(frames):
-        try:
-            r = autocorrelation(frame, config.lpc_order)
-            lpc = levinson_durbin(r, config.lpc_order)
-        except (DegenerateFrame, UnstableFrame):
-            continue
-        db = lp_spectrum(lpc, config.fft_size, signal.sample_rate)
-        peak, hit = find_band_peak(db, config.fft_size, signal.sample_rate, config)
-        frame_peaks.append(FramePeak(t, peak, hit))
-        detected += hit
-
-    analyzed = len(frame_peaks)
-    if analyzed:
-        median_hz = float(np.median([fp.peak.frequency_hz for fp in frame_peaks]))
-        median_db = float(np.median([fp.peak.magnitude_db for fp in frame_peaks]))
-        fraction = detected / analyzed
-    else:
-        median_hz = None
-        median_db = None
-        fraction = 0.0
+    num_frames, indices, spectra = _lp_analysis(signal, config)
+    if indices.size == 0:
+        return NasalizationReport([], num_frames, 0, None, None, 0.0)
+    rate = signal.sample_rate
+    bins, hits = _band_peaks(spectra, config.fft_size, rate, config)
+    peak_hz = bins * rate / config.fft_size
+    peak_db = spectra[np.arange(bins.size), bins]
+    frame_peaks = [
+        FramePeak(t, FormantPeak(hz, db), hit)
+        for t, hz, db, hit in zip(
+            indices.tolist(), peak_hz.tolist(), peak_db.tolist(), hits.tolist()
+        )
+    ]
     return NasalizationReport(
-        frame_peaks, frames.shape[0], analyzed, median_hz, median_db, fraction
+        frame_peaks,
+        num_frames,
+        len(frame_peaks),
+        _median(peak_hz),
+        _median(peak_db),
+        int(hits.sum()) / len(frame_peaks),
     )
 
 

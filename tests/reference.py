@@ -206,6 +206,43 @@ def autocorr_ref(x, max_lag):
     )
 
 
+def levinson_ref(r, order):
+    """Textbook Levinson-Durbin in Python floats, one order at a time.
+
+    Returns (coefficients, error) or the string "degenerate" (r[0] <= 0)
+    or "unstable" (the prediction error reaches zero or below).
+    """
+    r = [float(v) for v in r]
+    if r[0] <= 0.0:
+        return "degenerate"
+    a = []
+    error = r[0]
+    for i in range(1, order + 1):
+        acc = r[i] - sum(a[j] * r[i - 1 - j] for j in range(i - 1))
+        k = acc / error
+        a = [a[j] - k * a[i - 2 - j] for j in range(i - 1)] + [k]
+        error *= 1.0 - k * k
+        if error <= 0.0:
+            return "unstable"
+    return np.array(a), error
+
+
+def band_peak_ref(db, fft_size, sample_rate, low_hz, high_hz, span_hz, prominence_db):
+    """(peak bin, detected) by scanning the band and both span windows bin by bin."""
+    lo = max(math.ceil(low_hz * fft_size / sample_rate), 0)
+    hi = min(math.floor(high_hz * fft_size / sample_rate), len(db) - 1)
+    p = lo
+    for b in range(lo, hi + 1):
+        if db[b] > db[p]:
+            p = b
+    if (p > 0 and db[p] < db[p - 1]) or (p < len(db) - 1 and db[p] < db[p + 1]):
+        return p, False
+    span = max(1, int(round(span_hz * fft_size / sample_rate)))
+    left = min(db[b] for b in range(max(0, p - span), p + 1))
+    right = min(db[b] for b in range(p, min(len(db), p + span + 1)))
+    return p, db[p] - max(left, right) >= prominence_db
+
+
 def lp_spectrum_ref(coeffs, gain, fft_size, sample_rate):
     """Per-bin complex evaluation of 10*log10(gain / |A(e^jw)|^2)."""
     half = fft_size // 2 + 1

@@ -263,3 +263,67 @@ class TestBundlePersistence:
         (out / "bundle.json").write_text("{not json", encoding="utf-8")
         with pytest.raises(DialectIdError):
             load_bundle(out)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("lt_model", None),
+            ("lt_model", ""),
+            ("lt_model", "."),
+            ("ct_model", ".."),
+            ("ct_model", "../ct.gmm"),
+            ("ct_model", "sub/ct.gmm"),
+            ("lt_model", "sub\\lt.gmm"),
+            ("lt_model", "lt.gmm\0"),
+            ("lt_model", 7),
+        ],
+    )
+    def test_model_names_must_be_plain_file_names(self, tmp_path, bundle_m1, key, value):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        desc = out / "bundle.json"
+        blob = json.loads(desc.read_text(encoding="utf-8"))
+        if value is None:
+            del blob[key]
+        else:
+            blob[key] = value
+        desc.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(DialectIdError, match=key):
+            load_bundle(out)
+
+    def test_absolute_model_path_outside_bundle_rejected(self, tmp_path, bundle_m1):
+        outside = tmp_path / "elsewhere"
+        save_bundle(bundle_m1, outside)
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        desc = out / "bundle.json"
+        blob = json.loads(desc.read_text(encoding="utf-8"))
+        blob["lt_model"] = str(outside / "lt.gmm")
+        desc.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(DialectIdError, match="lt_model"):
+            load_bundle(out)
+
+    @pytest.mark.parametrize("payload", ["[]", '["dialectid-bundle", 1]', "3", '"bundle"', "null"])
+    def test_descriptor_must_be_a_json_object(self, tmp_path, bundle_m1, payload):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        (out / "bundle.json").write_text(payload, encoding="utf-8")
+        with pytest.raises(DialectIdError, match="JSON object"):
+            load_bundle(out)
+
+    def test_undecodable_descriptor_rejected(self, tmp_path, bundle_m1):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        (out / "bundle.json").write_bytes(b"\xff\xfe{")
+        with pytest.raises(DialectIdError):
+            load_bundle(out)
+
+    def test_config_that_contradicts_the_models_rejected(self, tmp_path, bundle_m1):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        desc = out / "bundle.json"
+        blob = json.loads(desc.read_text(encoding="utf-8"))
+        blob["feature_config"]["num_cepstra"] = 12
+        desc.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(DialectIdError, match="dims"):
+            load_bundle(out)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -13,7 +14,8 @@ import dialectid
 import reference
 from dialectid.cli import run
 from dialectid.corpus import Split, load_manifest, read_audio, write_manifest, write_wav
-from dialectid.dsp import AudioSignal, MfccConfig, extract_features, read_features
+from dialectid.dsp import AudioSignal, MfccConfig, extract_features, extract_segment, read_features
+from dialectid.nasalization import NasalConfig, segment_lp_spectra
 
 SR = 16000
 
@@ -195,6 +197,29 @@ class TestTrainAndClassify:
         assert run(["classify", "--bundle", str(tmp_path / "missing"), "--audio", wav]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: {k: v for k, v in d.items() if k != "lt_model"},
+            lambda d: [d],
+            lambda d: {**d, "lt_model": "/lt.gmm"},
+            lambda d: {**d, "ct_model": "../ct.gmm"},
+        ],
+        ids=["no-lt-model", "json-list", "absolute-path", "parent-dir"],
+    )
+    def test_malformed_bundle_descriptor_is_a_data_error(
+        self, bundle_dir, tiny_corpus, tmp_path, capsys, edit
+    ):
+        out = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, out)
+        descriptor = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
+        (out / "bundle.json").write_text(json.dumps(edit(descriptor)), encoding="utf-8")
+        wav = tiny_corpus.manifest.records[0].audio_path
+        assert run(["classify", "--bundle", str(out), "--audio", wav]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bundle.json" in err
+        assert "Traceback" not in err
+
 
 def _relabeled_manifest(manifest, tmp_path, name):
     """Copy with the first train speaker's records duplicated into test."""
@@ -346,6 +371,21 @@ class TestNasal:
         assert float(freq) == 0.0
         assert np.isfinite(float(db))
 
+    def test_spectra_dump_bytes_match_per_line_format(self, vowel_wav, tmp_path):
+        dump = tmp_path / "spectra.txt"
+        assert run(["nasal", "--audio", vowel_wav, "--end", "0.5", "--dump-spectra", str(dump),
+                    "--output", str(tmp_path / "report.txt")]) == 0
+        segment = extract_segment(read_audio(vowel_wav), 0.0, 0.5)
+        freqs, spectra = segment_lp_spectra(segment, NasalConfig())
+        lines = []
+        for index, db in spectra:
+            lines.append(f"# frame {index}\n")
+            for f, v in zip(freqs, db):
+                lines.append(f"{float(f)!r} {float(v)!r}\n")
+            lines.append("\n")
+        assert len(spectra) == 49
+        assert dump.read_bytes() == "".join(lines).encode("utf-8")
+
     def test_paired_comparison(self, tmp_path):
         paths = {}
         for name, radius, seed in (("lt", 0.90, 11), ("ct", 0.97, 12)):
@@ -467,3 +507,21 @@ class TestStartup:
             check=True,
         )
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_loads_no_scipy(self):
+        # The MFCC transform and the LP analyzer are numpy-only; any scipy
+        # module on the import path costs every command hundreds of ms.
+        src = os.path.dirname(os.path.dirname(dialectid.__file__))
+        probe = (
+            "import sys, dialectid.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"

@@ -1,12 +1,17 @@
 """Front-end tests: framing, mel filterbank, cepstra, deltas, CMS, file I/O."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dialectid
 import reference
 from dialectid.dsp import (
+    _dct_basis,
     CANONICAL_SAMPLE_RATE,
     ENERGY_FLOOR,
     AudioSignal,
@@ -162,6 +167,48 @@ class TestStaticCepstra:
             bad = AudioSignal(np.zeros(rate), rate)
             with pytest.raises(SampleRateMismatch):
                 extract_mfcc13(bad)
+
+
+class TestDctBasis:
+    @pytest.mark.parametrize("n,keep", [(26, 13), (20, 20), (40, 13), (1, 1)])
+    def test_matches_reference(self, n, keep):
+        basis = _dct_basis(n, keep)
+        assert basis.shape == (n, keep)
+        # Row i of the basis is the transform of the i-th unit vector.
+        want = np.array([reference.dct2_ortho_ref(np.eye(n)[i], keep) for i in range(n)])
+        np.testing.assert_allclose(basis, want, rtol=0.0, atol=1e-12)
+        x = np.random.default_rng(n).standard_normal((5, n)) * 10.0
+        got = x @ basis
+        for row, out in zip(x, got):
+            np.testing.assert_allclose(out, reference.dct2_ortho_ref(row, keep), rtol=0.0, atol=1e-12)
+
+    def test_cached_basis_is_shared_and_read_only(self):
+        basis = _dct_basis(26, 13)
+        assert _dct_basis(26, 13) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+
+    def test_features_identical_across_blas_thread_counts(self):
+        src = os.path.dirname(os.path.dirname(dialectid.__file__))
+        probe = (
+            "import hashlib, numpy as np\n"
+            "from dialectid.dsp import AudioSignal, extract_features\n"
+            "x = np.random.default_rng(11).standard_normal(48000) * 0.1\n"
+            "f = extract_features(AudioSignal(x, 16000))\n"
+            "print(hashlib.sha256(f.tobytes()).hexdigest())\n"
+        )
+        digests = set()
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", probe],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestDeltas:

@@ -2,6 +2,7 @@
 spectra, per-frame peak gating, and segment comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from dialectid.errors import (
 )
 from dialectid.labels import DialectLabel
 from dialectid.nasalization import (
+    LP_DEGENERATE,
+    LP_OK,
+    LP_UNSTABLE,
     LpcFrame,
     NasalConfig,
     NasalizationReport,
@@ -26,6 +30,8 @@ from dialectid.nasalization import (
     find_band_peak,
     levinson_durbin,
     lp_spectrum,
+    _levinson_batch,
+    _median,
     segment_lp_spectra,
     spectrum_frequencies,
 )
@@ -335,3 +341,116 @@ class TestConfigValidation:
     def test_non_finite_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NasalConfig(**kwargs)
+
+
+class TestBatchedCore:
+    """The batched LP core against per-frame textbook references."""
+
+    def test_levinson_status_and_finite_outputs(self):
+        order = 4
+        rng = np.random.default_rng(3)
+        good = reference.autocorr_ref(rng.standard_normal(200), order)
+        rows = np.array(
+            [
+                good,
+                np.zeros(order + 1),  # digital silence
+                [1.0, 1.0, 0.5, 0.2, 0.1],  # |k1| = 1 at order 1
+                [1.0, 0.0, 1.0, 0.0, 0.0],  # k2 = 1 at order 2
+                [1.0, 0.9, 0.9, 0.9, 5.0],  # error turns negative at order 4
+                [1e-300, 1.0, 1.0, 1.0, 1.0],  # k1 overflows: error -inf at order 1
+                2.0 * good,
+            ]
+        )
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            coeffs, gains, status = _levinson_batch(rows, order)
+        assert status.tolist() == [LP_OK, LP_DEGENERATE] + [LP_UNSTABLE] * 4 + [LP_OK]
+        assert np.isfinite(coeffs).all() and np.isfinite(gains).all()
+        for row, a, g, st in zip(rows, coeffs, gains, status):
+            ref = reference.levinson_ref(row, order)
+            if st == LP_OK:
+                np.testing.assert_allclose(a, ref[0], rtol=1e-12, atol=1e-14)
+                assert g == pytest.approx(ref[1], rel=1e-12)
+            else:
+                assert ref == ("degenerate" if st == LP_DEGENERATE else "unstable")
+
+    def test_segment_matches_per_frame_reference(self):
+        samples = vowel(seed=5, num_samples=SR // 2).samples.copy()
+        samples[2000:4400] = 0.0  # several frames of digital silence
+        sig = AudioSignal(samples, SR)
+        cfg = NasalConfig()
+        length, hop = cfg.frame_samples(SR), cfg.hop_samples(SR)
+        frames = reference.frame_ref(samples, length, hop)
+
+        want = []
+        for t, frame in enumerate(frames):
+            fit = reference.levinson_ref(reference.autocorr_ref(frame, cfg.lpc_order), cfg.lpc_order)
+            if isinstance(fit, str):
+                continue
+            want.append((t, reference.lp_spectrum_ref(fit[0], fit[1], cfg.fft_size, SR)))
+        skipped = len(frames) - len(want)
+        assert 5 <= skipped < len(frames)
+
+        freqs, spectra = segment_lp_spectra(sig, cfg)
+        assert [t for t, _ in spectra] == [t for t, _ in want]
+        for (_, got), (_, ref) in zip(spectra, want):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6)
+
+        report = analyze_segment(sig, cfg)
+        assert report.num_frames == len(frames)
+        assert [fp.frame_index for fp in report.frame_peaks] == [t for t, _ in want]
+        for fp, (_, ref) in zip(report.frame_peaks, want):
+            p, hit = reference.band_peak_ref(
+                ref, cfg.fft_size, SR, cfg.band_low_hz, cfg.band_high_hz,
+                cfg.prominence_span_hz, cfg.prominence_db,
+            )
+            assert fp.peak.frequency_hz == freqs[p]
+            assert fp.peak.magnitude_db == pytest.approx(ref[p], abs=1e-6)
+            assert fp.detected == hit
+
+    def test_band_peak_matches_reference_at_spectrum_edges(self):
+        rng = np.random.default_rng(9)
+        # Narrow spectra put the band and both span windows against the
+        # ends of the array.
+        at_top = 0
+        for trial in range(300):
+            # A zero threshold lets a peak on the last bin pass the gate.
+            cfg = NasalConfig(
+                band_low_hz=0.1,
+                band_high_hz=8000.0,
+                prominence_db=0.5 * (trial % 2),
+                prominence_span_hz=2000.0,
+            )
+            db = rng.standard_normal(int(rng.integers(3, 60)))
+            fft_size = 2 * (db.size - 1)
+            peak, hit = find_band_peak(db, fft_size, SR, cfg)
+            p, want_hit = reference.band_peak_ref(
+                db, fft_size, SR, cfg.band_low_hz, cfg.band_high_hz,
+                cfg.prominence_span_hz, cfg.prominence_db,
+            )
+            assert peak.frequency_hz == p * SR / fft_size
+            assert peak.magnitude_db == db[p]
+            assert hit == want_hit
+            assert type(hit) is bool
+            at_top += p == db.size - 1
+        assert at_top > 0
+
+    def test_report_fields_are_plain_python(self):
+        report = analyze_segment(vowel(seed=2, num_samples=SR // 4))
+        fp = report.frame_peaks[0]
+        assert type(fp.frame_index) is int
+        assert type(fp.peak.frequency_hz) is float
+        assert type(fp.peak.magnitude_db) is float
+        assert type(fp.detected) is bool
+
+    def test_median_is_numpy_median_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for n in list(range(1, 12)) + [98, 99, 999]:
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            assert _median(values) == float(np.median(values))
+            bins = rng.integers(9, 26, n) * 15.625
+            assert _median(bins) == float(np.median(bins))
+
+    def test_fft_must_exceed_order(self):
+        with pytest.raises(ValueError):
+            NasalConfig(fft_size=16, lpc_order=18)
