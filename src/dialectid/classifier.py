@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import CorpusManifest, Split, read_audio
+from .corpus import CorpusManifest, Split, UtteranceRecord, read_audio
 from .dsp import AudioSignal, MfccConfig, extract_features, extract_segment
 from .errors import EmptyTestSetError, DialectIdError, MissingDialectError
 from .gmm import GmmModel, TrainConfig, em_fit, load_model, log_likelihood_sequence, save_model
@@ -104,19 +105,21 @@ def metrics_from_counts(tp: int, fp: int, fn: int, tn: int):
     return accuracy, precision, recall, f1_score(precision, recall)
 
 
+def _record_features(rec: UtteranceRecord, feature_config: MfccConfig) -> np.ndarray:
+    """Features of one manifest record, cut to its segment when it has one."""
+    signal = read_audio(rec.audio_path)
+    if rec.segment is not None:
+        signal = extract_segment(signal, *rec.segment)
+    return extract_features(signal, feature_config)
+
+
 def _pooled_training_frames(
     manifest: CorpusManifest, dialect: DialectLabel, feature_config: MfccConfig
 ) -> np.ndarray:
     records = manifest.subset(dialect, Split.TRAIN)
     if not records:
         raise MissingDialectError(f"no {dialect.value} training utterances in manifest")
-    blocks = []
-    for rec in records:
-        signal = read_audio(rec.audio_path)
-        if rec.segment is not None:
-            signal = extract_segment(signal, *rec.segment)
-        blocks.append(extract_features(signal, feature_config))
-    return np.vstack(blocks)
+    return np.vstack([_record_features(rec, feature_config) for rec in records])
 
 
 def train_bundle(
@@ -146,40 +149,43 @@ def classify_utterance(bundle: ClassifierBundle, signal: AudioSignal) -> Decisio
     return _decide(bundle.lt_model, bundle.ct_model, features)
 
 
-def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalReport:
-    """Classify every test utterance in the manifest and tally metrics.
-
-    Assumes train/test speaker disjointness has already been checked
-    (validate_split); this function only consumes split == test records.
-    """
-    records = test_manifest.subset(split=Split.TEST)
-    if not records:
-        raise EmptyTestSetError("manifest has no test utterances")
+def _score(lt_model: GmmModel, ct_model: GmmModel, scored) -> EvalReport:
+    """Decide every (record, features) pair and tally the confusion matrix."""
     decisions = []
-    tp = fp = fn = tn = 0
-    for rec in records:
-        signal = read_audio(rec.audio_path)
-        if rec.segment is not None:
-            signal = extract_segment(signal, *rec.segment)
-        d = classify_utterance(bundle, signal)
+    for rec, features in scored:
+        d = _decide(lt_model, ct_model, features)
         decisions.append(
             UtteranceDecision(
                 rec.audio_path, rec.speaker_id, rec.dialect,
                 d.label, d.lt_score, d.ct_score, d.tie,
             )
         )
-        if rec.dialect is DialectLabel.LT:
-            if d.label is DialectLabel.LT:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if d.label is DialectLabel.LT:
-                fp += 1
-            else:
-                tn += 1
+    cells = Counter((d.true_label, d.predicted) for d in decisions)
+    lt, ct = DialectLabel.LT, DialectLabel.CT
+    tp, fp, fn, tn = cells[lt, lt], cells[ct, lt], cells[lt, ct], cells[ct, ct]
     accuracy, precision, recall, f1 = metrics_from_counts(tp, fp, fn, tn)
     return EvalReport(tp, fp, fn, tn, accuracy, precision, recall, f1, decisions)
+
+
+def _test_records(manifest: CorpusManifest) -> list[UtteranceRecord]:
+    records = manifest.subset(split=Split.TEST)
+    if not records:
+        raise EmptyTestSetError("manifest has no test utterances")
+    return records
+
+
+def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalReport:
+    """Classify every test utterance in the manifest and tally metrics.
+
+    Assumes train/test speaker disjointness has already been checked
+    (validate_split); this function only consumes split == test records.
+    Features are extracted one utterance at a time.
+    """
+    scored = (
+        (rec, _record_features(rec, bundle.feature_config))
+        for rec in _test_records(test_manifest)
+    )
+    return _score(bundle.lt_model, bundle.ct_model, scored)
 
 
 def sweep_mixtures(
@@ -205,15 +211,9 @@ def sweep_mixtures(
         d: _pooled_training_frames(train_manifest, d, feature_config)
         for d in DialectLabel
     }
-    test_records = test_manifest.subset(split=Split.TEST)
-    if not test_records:
-        raise EmptyTestSetError("manifest has no test utterances")
-    test_features = []
-    for rec in test_records:
-        signal = read_audio(rec.audio_path)
-        if rec.segment is not None:
-            signal = extract_segment(signal, *rec.segment)
-        test_features.append((rec, extract_features(signal, feature_config)))
+    test_features = [
+        (rec, _record_features(rec, feature_config)) for rec in _test_records(test_manifest)
+    ]
 
     rows = []
     for count in counts:
@@ -222,16 +222,7 @@ def sweep_mixtures(
             config = replace(base_train_config, num_components=count)
             lt_model, _ = em_fit(pooled[DialectLabel.LT], config)
             ct_model, _ = em_fit(pooled[DialectLabel.CT], config)
-            tp = fp = fn = tn = 0
-            for rec, features in test_features:
-                d = _decide(lt_model, ct_model, features)
-                if rec.dialect is DialectLabel.LT:
-                    tp += d.label is DialectLabel.LT
-                    fn += d.label is DialectLabel.CT
-                else:
-                    fp += d.label is DialectLabel.LT
-                    tn += d.label is DialectLabel.CT
-            accuracy = metrics_from_counts(tp, fp, fn, tn)[0]
+            accuracy = _score(lt_model, ct_model, test_features).accuracy
             rows.append(SweepRow(count, accuracy, time.perf_counter() - start))
         except DialectIdError as exc:
             rows.append(SweepRow(count, None, time.perf_counter() - start, str(exc)))

@@ -35,6 +35,7 @@ from .classifier import (
     train_bundle,
 )
 from .corpus import (
+    CorpusManifest,
     Split,
     corpus_stats,
     format_stats,
@@ -60,6 +61,10 @@ from .nasalization import (
 )
 
 _SECTIONS = {"mfcc": MfccConfig, "train": TrainConfig, "nasal": NasalConfig}
+# The mixture size is left out: only --components sets it.
+_CONFIG_KEYS = {
+    f"{section}.{f.name}" for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
+} - {"train.num_components"}
 
 
 def _load_config(path) -> dict[str, str]:
@@ -70,6 +75,8 @@ def _load_config(path) -> dict[str, str]:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not valid UTF-8 ({exc})") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -79,50 +86,35 @@ def _load_config(path) -> dict[str, str]:
             raise ConfigError(f"{path} line {lineno}: expected key = value")
         kv[key.strip()] = value.strip()
     for key in kv:
-        section, _, name = key.partition(".")
-        cls = _SECTIONS.get(section)
-        known = {f.name for f in dataclasses.fields(cls)} if cls else set()
-        if not cls or name not in known:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
     return kv
 
 
-def _section_kwargs(kv: dict[str, str], section: str, cls) -> dict:
-    out = {}
+def _config(kv: dict[str, str], section: str, **overrides):
+    """The section's config from its keys in kv, then the overrides."""
+    cls = _SECTIONS[section]
+    kwargs = {}
     for f in dataclasses.fields(cls):
         key = f"{section}.{f.name}"
         if key in kv:
             caster = int if f.type == "int" else float
             try:
-                out[f.name] = caster(kv[key])
+                kwargs[f.name] = caster(kv[key])
             except ValueError:
                 raise ConfigError(
                     f"config key {key} has a non-numeric value {kv[key]!r}"
                 ) from None
-    return out
-
-
-def _make_config(cls, kwargs: dict, what: str):
+    kwargs.update(overrides)
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid {what} configuration: {exc}") from None
-
-
-def _mfcc_config(args, kv) -> MfccConfig:
-    return _make_config(MfccConfig, _section_kwargs(kv, "mfcc", MfccConfig), "mfcc")
-
-
-def _nasal_config(args, kv) -> NasalConfig:
-    return _make_config(NasalConfig, _section_kwargs(kv, "nasal", NasalConfig), "nasal")
+        raise ConfigError(f"invalid {section} configuration: {exc}") from None
 
 
 def _train_config(args, kv, num_components: int) -> TrainConfig:
-    kwargs = _section_kwargs(kv, "train", TrainConfig)
-    kwargs["num_components"] = num_components
-    if args.seed is not None:
-        kwargs["rng_seed"] = args.seed
-    return _make_config(TrainConfig, kwargs, "train")
+    seed = {} if args.seed is None else {"rng_seed": args.seed}
+    return _config(kv, "train", num_components=num_components, **seed)
 
 
 def _emit(args, text: str, records: list[dict]) -> None:
@@ -138,17 +130,16 @@ def _emit(args, text: str, records: list[dict]) -> None:
 
 
 def _check_speaker_discipline(train_manifest, test_manifest) -> None:
-    train = {r.speaker_id for r in train_manifest.records if r.split is Split.TRAIN}
-    test = {r.speaker_id for r in test_manifest.records if r.split is Split.TEST}
-    overlap = sorted(train & test)
+    """Refuse speakers of train_manifest's train split who are also in
+    test_manifest's test split."""
+    records = train_manifest.subset(split=Split.TRAIN) + test_manifest.subset(split=Split.TEST)
+    overlap = validate_split(CorpusManifest(records)).overlapping_speakers
     if overlap:
-        raise ManifestError(
-            "train/test speaker overlap: " + ", ".join(overlap)
-        )
+        raise ManifestError("train/test speaker overlap: " + ", ".join(overlap))
 
 
 def cmd_extract(args, kv) -> int:
-    config = _mfcc_config(args, kv)
+    config = _config(kv, "mfcc")
     features = extract_features(read_audio(args.audio), config)
     if args.csv:
         write_features_csv(args.out, features)
@@ -172,7 +163,7 @@ def cmd_extract(args, kv) -> int:
 def cmd_train(args, kv) -> int:
     manifest = load_manifest(args.manifest)
     _check_speaker_discipline(manifest, manifest)
-    feature_config = _mfcc_config(args, kv)
+    feature_config = _config(kv, "mfcc")
     train_config = _train_config(args, kv, args.components)
     bundle = train_bundle(manifest, feature_config, train_config)
     save_bundle(bundle, args.out)
@@ -265,7 +256,7 @@ def cmd_sweep(args, kv) -> int:
         load_manifest(args.test_manifest) if args.test_manifest else train_manifest
     )
     _check_speaker_discipline(train_manifest, test_manifest)
-    feature_config = _mfcc_config(args, kv)
+    feature_config = _config(kv, "mfcc")
     base = _train_config(args, kv, 1)
     rows = sweep_mixtures(
         train_manifest, test_manifest, feature_config, base, args.components
@@ -357,7 +348,7 @@ def _write_spectra(path, freqs, spectra) -> None:
 
 
 def cmd_nasal(args, kv) -> int:
-    config = _nasal_config(args, kv)
+    config = _config(kv, "nasal")
     paired = args.lt_audio is not None or args.ct_audio is not None
     if paired and (args.lt_audio is None or args.ct_audio is None):
         print("error: --lt-audio and --ct-audio must be given together", file=sys.stderr)

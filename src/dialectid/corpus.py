@@ -93,41 +93,45 @@ def load_manifest(path) -> CorpusManifest:
     """Parse a manifest file; errors name the offending line number."""
     base = os.path.dirname(os.path.abspath(path))
     records: list[UtteranceRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (5, 7):
-                raise ManifestError(
-                    f"line {lineno}: expected 5 or 7 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            audio_path = parts[0].strip()
-            if not audio_path:
-                raise ManifestError(f"line {lineno}: empty audio_path")
-            if not os.path.isabs(audio_path):
-                audio_path = os.path.normpath(os.path.join(base, audio_path))
-            speaker = parts[1].strip()
-            if not speaker:
-                raise ManifestError(f"line {lineno}: empty speaker_id")
-            dialect = _parse_enum(DialectLabel, parts[2].strip(), "dialect", lineno)
-            gender = _parse_enum(Gender, parts[3].strip(), "gender", lineno)
-            split = _parse_enum(Split, parts[4].strip(), "split", lineno)
-            segment = None
-            if len(parts) == 7:
-                try:
-                    segment = (float(parts[5]), float(parts[6]))
-                except ValueError:
-                    raise ManifestError(
-                        f"line {lineno}: segment bounds must be numbers"
-                    ) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: manifest is not valid UTF-8 ({exc})") from None
+    # Universal newlines: \r\n and lone \r arrive as \n.
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (5, 7):
+            raise ManifestError(
+                f"line {lineno}: expected 5 or 7 tab-separated fields, "
+                f"got {len(parts)}"
+            )
+        audio_path = parts[0].strip()
+        if not audio_path:
+            raise ManifestError(f"line {lineno}: empty audio_path")
+        if not os.path.isabs(audio_path):
+            audio_path = os.path.normpath(os.path.join(base, audio_path))
+        speaker = parts[1].strip()
+        if not speaker:
+            raise ManifestError(f"line {lineno}: empty speaker_id")
+        dialect = _parse_enum(DialectLabel, parts[2].strip(), "dialect", lineno)
+        gender = _parse_enum(Gender, parts[3].strip(), "gender", lineno)
+        split = _parse_enum(Split, parts[4].strip(), "split", lineno)
+        segment = None
+        if len(parts) == 7:
             try:
-                rec = UtteranceRecord(audio_path, speaker, dialect, gender, split, segment)
-            except ValueError as exc:
-                raise ManifestError(f"line {lineno}: {exc}") from None
-            records.append(rec)
+                segment = (float(parts[5]), float(parts[6]))
+            except ValueError:
+                raise ManifestError(
+                    f"line {lineno}: segment bounds must be numbers"
+                ) from None
+        try:
+            rec = UtteranceRecord(audio_path, speaker, dialect, gender, split, segment)
+        except ValueError as exc:
+            raise ManifestError(f"line {lineno}: {exc}") from None
+        records.append(rec)
     try:
         return CorpusManifest(records)
     except ManifestError as exc:

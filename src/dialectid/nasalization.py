@@ -18,6 +18,7 @@ import numpy as np
 
 from .dsp import AudioSignal, frame_signal
 from .errors import (
+    ConfigError,
     DegenerateFrame,
     EmptyReportError,
     UnstableFrame,
@@ -312,7 +313,13 @@ def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> N
     if indices.size == 0:
         return NasalizationReport([], num_frames, 0, None, None, 0.0)
     rate = signal.sample_rate
-    bins, hits = _band_peaks(spectra, config.fft_size, rate, config)
+    try:
+        bins, hits = _band_peaks(spectra, config.fft_size, rate, config)
+    except ValueError as exc:
+        raise ConfigError(
+            f"nasal band {config.band_low_hz}-{config.band_high_hz} Hz with "
+            f"fft_size {config.fft_size} at {rate} Hz: {exc}"
+        ) from None
     peak_hz = bins * rate / config.fft_size
     peak_db = spectra[np.arange(bins.size), bins]
     frame_peaks = [

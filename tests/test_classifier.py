@@ -1,5 +1,6 @@
 """Classifier tests: metrics arithmetic, training, decisions, sweep, bundles."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -235,6 +236,23 @@ class TestSweep:
                 TrainConfig(num_components=1),
                 [],
             )
+
+
+    def test_row_accuracy_matches_evaluate(self, tiny_corpus):
+        # Flip the labels of a few test utterances so the accuracy is not 1
+        # and the tally has something to count.
+        flip = {DialectLabel.LT: DialectLabel.CT, DialectLabel.CT: DialectLabel.LT}
+        test = tiny_corpus.manifest.subset(split=Split.TEST)
+        relabeled = CorpusManifest(
+            tiny_corpus.manifest.subset(split=Split.TRAIN)
+            + [dataclasses.replace(r, dialect=flip[r.dialect]) for r in test[:3]]
+            + test[3:]
+        )
+        config = TrainConfig(num_components=2, rng_seed=3)
+        (row,) = sweep_mixtures(relabeled, relabeled, MfccConfig(), config, [2])
+        report = evaluate(train_bundle(relabeled, MfccConfig(), config), relabeled)
+        assert report.accuracy < 1.0
+        assert row.accuracy == report.accuracy
 
 
 class TestBundlePersistence:

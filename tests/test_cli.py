@@ -143,6 +143,48 @@ class TestExtract:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_non_utf8_config_is_a_data_error(self, tiny_corpus, tmp_path, capsys):
+        wav = tiny_corpus.manifest.records[0].audio_path
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\nmfcc.frame_shift_ms = 20\n")
+        code = run(
+            ["extract", "--audio", wav, "--out", str(tmp_path / "o.bin"), "--config", str(cfg)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err
+        assert "Traceback" not in err
+
+    def test_num_components_is_not_a_config_key(self, tiny_corpus, tmp_path, capsys):
+        # --components is the one way to set the mixture size.
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("train.num_components = 999\n")
+        code = run(
+            [
+                "train", "--manifest", tiny_corpus.manifest_path, "--components", "1",
+                "--out", str(tmp_path / "m"), "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        assert "unknown config key 'train.num_components'" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_readme_config_example_is_accepted(self, tiny_corpus, tmp_path):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text[text.index("## Config file") :]
+        example = section.split("```")[1]
+        assert "mfcc." in example and "train." in example and "nasal." in example
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(example)
+        wav = tiny_corpus.manifest.records[0].audio_path
+        code = run(
+            ["extract", "--audio", wav, "--out", str(tmp_path / "o.bin"), "--config", str(cfg)]
+        )
+        assert code == 0
+
+
 class TestTrainAndClassify:
     def test_bundle_loads_and_classifies(self, tiny_corpus, bundle_dir, tmp_path):
         lt_wav = next(
@@ -317,6 +359,23 @@ class TestSweep:
         assert rows[1]["accuracy"] is None
 
 
+    def test_cross_manifest_overlap_refused(self, tiny_corpus, tmp_path, capsys):
+        # Train speakers come from --manifest, test speakers from --test-manifest.
+        speaker = tiny_corpus.manifest.subset(split=Split.TRAIN)[0].speaker_id
+        test = tiny_corpus.manifest.subset(split=Split.TEST)
+        moved = [dataclasses.replace(test[0], speaker_id=speaker)] + test[1:]
+        path = tmp_path / "test.tsv"
+        write_manifest(type(tiny_corpus.manifest)(moved), str(path))
+        code = run(
+            [
+                "sweep", "--manifest", tiny_corpus.manifest_path,
+                "--test-manifest", str(path), "--components", "1",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: train/test speaker overlap: {speaker}\n"
+
+
 class TestNasal:
     def test_single_segment_summary(self, vowel_wav, tmp_path):
         rec = tmp_path / "nasal.jsonl"
@@ -422,6 +481,16 @@ class TestNasal:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_band_without_fft_bins_is_a_data_error(self, vowel_wav, tmp_path, capsys):
+        # A 32-point FFT at 16 kHz has bins every 500 Hz: none in 150-400 Hz.
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("nasal.fft_size = 32\n")
+        code = run(["nasal", "--audio", vowel_wav, "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no FFT bins" in err
+
+
 class TestValidateAndStats:
     def test_validate_passes(self, tiny_corpus, capsys):
         assert run(["validate", "--manifest", tiny_corpus.manifest_path]) == 0
@@ -473,6 +542,15 @@ class TestValidateAndStats:
         assert "Corpus totals" in out and "hours" in out
 
 
+    def test_non_utf8_manifest_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"wav/a.wav\tspk-\xe9\tLT\tmale\ttrain\n")
+        assert run(["stats", "--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+
 class TestSynth:
     def test_generation_and_determinism(self, tmp_path):
         args = [
@@ -515,6 +593,23 @@ class TestStartup:
         probe = (
             "import sys, dialectid.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_package_import_loads_no_submodule(self):
+        # The package root is bare; each command imports only what it uses.
+        src = os.path.dirname(os.path.dirname(dialectid.__file__))
+        probe = (
+            "import sys, dialectid; "
+            "print(sorted(m for m in sys.modules if m.startswith('dialectid.')))"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],
