@@ -25,6 +25,7 @@ from .labels import DialectLabel
 BUNDLE_DESCRIPTOR = "bundle.json"
 _LT_MODEL_NAME = "lt.gmm"
 _CT_MODEL_NAME = "ct.gmm"
+SWEEP_COMPONENTS = (16, 32, 64, 128, 256)
 
 
 @dataclass(eq=False)
@@ -193,7 +194,7 @@ def sweep_mixtures(
     test_manifest: CorpusManifest,
     feature_config: MfccConfig,
     base_train_config: TrainConfig,
-    component_counts: list[int] | None = None,
+    component_counts: tuple[int, ...] | list[int] = SWEEP_COMPONENTS,
 ) -> list[SweepRow]:
     """Accuracy as a function of mixture size, one row per count.
 
@@ -201,7 +202,7 @@ def sweep_mixtures(
     (for example, fewer frames than components) is recorded with its error
     message and the sweep moves on.
     """
-    counts = list(component_counts) if component_counts is not None else [16, 32, 64, 128, 256]
+    counts = list(component_counts)
     if not counts:
         raise ValueError("component_counts must be non-empty")
     if any(c < 1 for c in counts):

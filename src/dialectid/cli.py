@@ -24,9 +24,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .classifier import (
+    SWEEP_COMPONENTS,
     evaluate,
     classify_utterance,
     load_bundle,
@@ -68,8 +70,9 @@ _CONFIG_KEYS = {
 
 
 def _load_config(path) -> dict[str, str]:
-    """Flat `key = value` file with mfcc./train./nasal. namespaced keys."""
+    """Flat `key = value` file with mfcc./train./nasal. keys, each set once."""
     kv: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -84,10 +87,13 @@ def _load_config(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path} line {lineno}: expected key = value")
-        kv[key.strip()] = value.strip()
-    for key in kv:
+        key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
+        if key in key_lines:
+            raise ConfigError(f"{path}: {key!r} is set on line {key_lines[key]} and line {lineno}")
+        key_lines[key] = lineno
+        kv[key] = value.strip()
     return kv
 
 
@@ -356,6 +362,12 @@ def cmd_nasal(args, kv) -> int:
     if paired == (args.audio is not None):
         print("error: give either --audio or the --lt-audio/--ct-audio pair", file=sys.stderr)
         return 2
+    if paired and (args.start, args.end, args.dump_spectra) != (None,) * 3:
+        print("error: --start, --end and --dump-spectra go with --audio only", file=sys.stderr)
+        return 2
+    if not paired and (args.lt_start, args.lt_end, args.ct_start, args.ct_end) != (None,) * 4:
+        print("error: --lt-start, --lt-end, --ct-start, --ct-end go with the pair", file=sys.stderr)
+        return 2
 
     if paired:
         lt_signal = _load_segment(args.lt_audio, args.lt_start, args.lt_end)
@@ -443,13 +455,26 @@ def cmd_synth(args, kv) -> int:
     return 0
 
 
+def _positive(cast):
+    """argparse type: a finite number of type cast above zero."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {cast.__name__}")
+        return value
+
+    return parse
+
+
+_count = _positive(int)
+
+
 def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated integer list"
-        ) from None
+    values = [_count(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise argparse.ArgumentTypeError("component list must be non-empty")
     return values
@@ -490,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("train", "train per-dialect GMMs from a manifest's train split", cmd_train)
     p.add_argument("--manifest", required=True, help="corpus manifest (TSV)")
-    p.add_argument("--components", type=int, required=True, help="mixture components per dialect")
+    p.add_argument("--components", type=_count, required=True, help="mixture components per dialect")
     p.add_argument("--out", required=True, help="bundle output directory")
 
     p = add("classify", "classify one utterance with a trained bundle", cmd_classify)
@@ -511,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--components",
         type=_int_list,
-        default=[16, 32, 64, 128, 256],
+        default=SWEEP_COMPONENTS,
         help="comma-separated mixture sizes",
     )
 
@@ -539,10 +564,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("synth", "generate a seeded synthetic two-dialect corpus", cmd_synth)
     p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--train-per-class", type=int, default=40, help="train utterances per dialect")
-    p.add_argument("--test-per-class", type=int, default=20, help="test utterances per dialect")
-    p.add_argument("--seconds", type=float, default=2.0, help="seconds per utterance")
-    p.add_argument("--per-speaker", type=int, default=5, help="utterances per synthetic speaker")
+    p.add_argument("--train-per-class", type=_count, default=40, help="train utterances per dialect")
+    p.add_argument("--test-per-class", type=_count, default=20, help="test utterances per dialect")
+    p.add_argument("--seconds", type=_positive(float), default=2.0, help="seconds per utterance")
+    p.add_argument("--per-speaker", type=_count, default=5, help="utterances per synthetic speaker")
 
     return parser
 
@@ -558,10 +583,7 @@ def run(argv=None) -> int:
     try:
         kv = _load_config(args.config) if args.config else {}
         return args.func(args, kv)
-    except DialectIdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DialectIdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,9 +113,6 @@ def load_manifest(path) -> CorpusManifest:
             raise ManifestError(f"line {lineno}: empty audio_path")
         if not os.path.isabs(audio_path):
             audio_path = os.path.normpath(os.path.join(base, audio_path))
-        speaker = parts[1].strip()
-        if not speaker:
-            raise ManifestError(f"line {lineno}: empty speaker_id")
         dialect = _parse_enum(DialectLabel, parts[2].strip(), "dialect", lineno)
         gender = _parse_enum(Gender, parts[3].strip(), "gender", lineno)
         split = _parse_enum(Split, parts[4].strip(), "split", lineno)
@@ -128,7 +125,7 @@ def load_manifest(path) -> CorpusManifest:
                     f"line {lineno}: segment bounds must be numbers"
                 ) from None
         try:
-            rec = UtteranceRecord(audio_path, speaker, dialect, gender, split, segment)
+            rec = UtteranceRecord(audio_path, parts[1].strip(), dialect, gender, split, segment)
         except ValueError as exc:
             raise ManifestError(f"line {lineno}: {exc}") from None
         records.append(rec)

@@ -52,14 +52,34 @@ class AudioSignal:
         return self.samples.size / self.sample_rate
 
 
+class Framing:
+    """Checks and sample lengths of the framing fields, for a config dataclass
+    declaring frame_length_ms, frame_shift_ms and fft_size (MFCC and nasal)."""
+
+    def __post_init__(self):
+        require_finite_fields(self)
+        if self.frame_length_ms <= 0 or self.frame_shift_ms <= 0:
+            raise ValueError("frame length and shift must be positive")
+        if self.frame_shift_ms > self.frame_length_ms:
+            raise ValueError("frame shift must not exceed frame length")
+        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
+            raise ValueError("fft_size must be a power of two")
+
+    def frame_samples(self, sample_rate: int) -> int:
+        return int(round(self.frame_length_ms * sample_rate / 1000.0))
+
+    def hop_samples(self, sample_rate: int) -> int:
+        return int(round(self.frame_shift_ms * sample_rate / 1000.0))
+
+
 @dataclass
-class MfccConfig:
+class MfccConfig(Framing):
     """Front-end parameters. Defaults are conventional for 16 kHz speech.
 
     frame_length_ms / frame_shift_ms: analysis window and hop.
     preemphasis_coeff: first-order high-pass coefficient in [0, 1).
     num_mel_filters: triangular filters between low_freq_hz and high_freq_hz.
-    fft_size: power of two, at least one frame long.
+    fft_size: power of two, at least one 16 kHz frame long.
     num_cepstra: cepstra kept per frame (c0 included).
     delta_window: regression half-width for velocity/acceleration.
     """
@@ -75,29 +95,21 @@ class MfccConfig:
     high_freq_hz: float = 7600.0
 
     def __post_init__(self):
-        require_finite_fields(self)
-        if self.frame_length_ms <= 0 or self.frame_shift_ms <= 0:
-            raise ValueError("frame length and shift must be positive")
-        if self.frame_shift_ms > self.frame_length_ms:
-            raise ValueError("frame shift must not exceed frame length")
+        super().__post_init__()
         if not 0.0 <= self.preemphasis_coeff < 1.0:
             raise ValueError("preemphasis_coeff must lie in [0, 1)")
         if self.num_mel_filters < 1:
             raise ValueError("need at least one mel filter")
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
         if not 1 <= self.num_cepstra <= self.num_mel_filters:
             raise ValueError("num_cepstra must be in [1, num_mel_filters]")
         if self.delta_window < 1:
             raise ValueError("delta_window must be at least 1")
         if not 0.0 <= self.low_freq_hz < self.high_freq_hz:
             raise ValueError("need 0 <= low_freq_hz < high_freq_hz")
-
-    def frame_samples(self, sample_rate: int) -> int:
-        return int(round(self.frame_length_ms * sample_rate / 1000.0))
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.frame_shift_ms * sample_rate / 1000.0))
+        if self.frame_samples(CANONICAL_SAMPLE_RATE) > self.fft_size:
+            raise ValueError("fft_size is shorter than one 16 kHz frame")
+        if self.high_freq_hz > CANONICAL_SAMPLE_RATE / 2:
+            raise ValueError("high_freq_hz exceeds 8000 Hz, the Nyquist frequency at 16 kHz")
 
 
 def preemphasize(signal: AudioSignal, coeff: float) -> AudioSignal:
@@ -113,14 +125,12 @@ def preemphasize(signal: AudioSignal, coeff: float) -> AudioSignal:
     return AudioSignal(y, signal.sample_rate)
 
 
-def frame_signal(signal: AudioSignal, config: MfccConfig) -> np.ndarray:
+def frame_signal(signal: AudioSignal, config: Framing) -> np.ndarray:
     """Slice a signal into overlapping Hamming-windowed frames.
 
     Returns an array of shape (num_frames, frame_samples) where
     num_frames = floor((N - L) / H) + 1. Trailing samples that do not fill
-    a whole frame are dropped. Raises SignalTooShort when N < L. Any config
-    with frame_samples/hop_samples will do; the nasal analyzer passes its
-    NasalConfig.
+    a whole frame are dropped. Raises SignalTooShort when N < L.
     """
     length = config.frame_samples(signal.sample_rate)
     hop = config.hop_samples(signal.sample_rate)
@@ -129,9 +139,8 @@ def frame_signal(signal: AudioSignal, config: MfccConfig) -> np.ndarray:
         raise SignalTooShort(
             f"signal has {n} samples, need at least {length} for one frame"
         )
-    num_frames = (n - length) // hop + 1
-    idx = hop * np.arange(num_frames)[:, None] + np.arange(length)[None, :]
-    return signal.samples[idx] * np.hamming(length)
+    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, length)[::hop]
+    return frames * np.hamming(length)
 
 
 def hz_to_mel(hz):
@@ -197,15 +206,12 @@ def _dct_basis(n: int, keep: int) -> np.ndarray:
 
 
 def mel_filterbank_energies(
-    power_spectrum: np.ndarray,
-    config: MfccConfig,
-    sample_rate: int,
-    energy_floor: float = ENERGY_FLOOR,
+    power_spectrum: np.ndarray, config: MfccConfig, sample_rate: int
 ) -> np.ndarray:
     """Log mel-filterbank energies of a power spectrum.
 
     Accepts a single spectrum of length fft_size//2 + 1 or a batch of them
-    (frames along axis 0). Each output is ln(max(energy, energy_floor)).
+    (frames along axis 0). Each output is ln(max(energy, ENERGY_FLOOR)).
     """
     ps = np.asarray(power_spectrum, dtype=np.float64)
     expected = config.fft_size // 2 + 1
@@ -215,7 +221,7 @@ def mel_filterbank_energies(
         )
     fbank = mel_filterbank(config, sample_rate)
     energies = ps @ fbank.T
-    return np.log(np.maximum(energies, energy_floor))
+    return np.log(np.maximum(energies, ENERGY_FLOOR))
 
 
 def extract_mfcc13(signal: AudioSignal, config: MfccConfig | None = None) -> np.ndarray:
@@ -230,8 +236,6 @@ def extract_mfcc13(signal: AudioSignal, config: MfccConfig | None = None) -> np.
         raise SampleRateMismatch(
             f"got {signal.sample_rate} Hz audio, require {CANONICAL_SAMPLE_RATE} Hz"
         )
-    if config.frame_samples(signal.sample_rate) > config.fft_size:
-        raise ValueError("fft_size is smaller than one frame; cannot zero-pad")
     emphasized = preemphasize(signal, config.preemphasis_coeff)
     frames = frame_signal(emphasized, config)
     spectrum = np.fft.rfft(frames, n=config.fft_size, axis=1)

@@ -291,8 +291,8 @@ def kmeans_init(
     data: np.ndarray,
     k: int,
     seed: int,
-    max_iterations: int = 50,
-    variance_floor_factor: float = 1e-3,
+    max_iterations: int = TrainConfig.kmeans_max_iterations,
+    variance_floor_factor: float = TrainConfig.variance_floor_factor,
 ) -> GmmModel:
     """Seeded k-means initialization for EM.
 

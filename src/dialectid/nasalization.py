@@ -16,21 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import AudioSignal, frame_signal
-from .errors import (
-    ConfigError,
-    DegenerateFrame,
-    EmptyReportError,
-    UnstableFrame,
-    require_finite_fields,
-)
+from .dsp import AudioSignal, Framing, frame_signal
+from .errors import ConfigError, DegenerateFrame, EmptyReportError, UnstableFrame
 from .labels import DialectLabel
 
 COMPARABLE_MARGIN_DB = 0.5
 
 
 @dataclass
-class NasalConfig:
+class NasalConfig(Framing):
     frame_length_ms: float = 20.0
     frame_shift_ms: float = 10.0
     lpc_order: int = 18
@@ -41,15 +35,9 @@ class NasalConfig:
     prominence_span_hz: float = 250.0
 
     def __post_init__(self):
-        require_finite_fields(self)
-        if self.frame_length_ms <= 0 or self.frame_shift_ms <= 0:
-            raise ValueError("frame length and shift must be positive")
-        if self.frame_shift_ms > self.frame_length_ms:
-            raise ValueError("frame shift must not exceed frame length")
+        super().__post_init__()
         if self.lpc_order < 1:
             raise ValueError("lpc_order must be at least 1")
-        if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
         if self.fft_size < self.lpc_order + 1:
             raise ValueError("fft_size must exceed the LP order")
         if not 0.0 < self.band_low_hz < self.band_high_hz:
@@ -58,12 +46,6 @@ class NasalConfig:
             raise ValueError("prominence_db must be non-negative")
         if self.prominence_span_hz <= 0.0:
             raise ValueError("prominence_span_hz must be positive")
-
-    def frame_samples(self, sample_rate: int) -> int:
-        return int(round(self.frame_length_ms * sample_rate / 1000.0))
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.frame_shift_ms * sample_rate / 1000.0))
 
 
 @dataclass(eq=False)
@@ -124,7 +106,7 @@ class DegreeComparison:
 
 # Per-frame status of the batched Levinson-Durbin recursion.
 LP_OK = 0
-LP_DEGENERATE = 1  # r[0] <= energy threshold (digital silence)
+LP_DEGENERATE = 1  # r[0] <= 0 (digital silence)
 LP_UNSTABLE = 2  # prediction error reached zero or below
 
 
@@ -137,16 +119,14 @@ def _autocorrelations(frames: np.ndarray, max_lag: int) -> np.ndarray:
     return r
 
 
-def _levinson_batch(
-    r: np.ndarray, order: int, energy_threshold: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _levinson_batch(r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levinson-Durbin on every row of r at once, looping only over the order.
 
     Returns (coefficients (F, order), error powers (F,), status (F,)).
     A frame that fails keeps its coefficients from the last good order and
     a unit error, so later orders stay finite; only LP_OK rows are valid.
     """
-    status = np.where(r[:, 0] <= energy_threshold, LP_DEGENERATE, LP_OK)
+    status = np.where(r[:, 0] <= 0.0, LP_DEGENERATE, LP_OK)
     failed = status != LP_OK
     a = np.zeros((r.shape[0], order))
     error = np.where(failed, 1.0, r[:, 0])
@@ -212,22 +192,22 @@ def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
     return _autocorrelations(x[None, :], max_lag)[0]
 
 
-def levinson_durbin(autocorr: np.ndarray, order: int, energy_threshold: float = 0.0) -> LpcFrame:
+def levinson_durbin(autocorr: np.ndarray, order: int) -> LpcFrame:
     """Solve the LP normal equations by the Levinson-Durbin recursion.
 
     Returns prediction coefficients a_1..a_order and the final prediction
-    error power. Raises DegenerateFrame when r[0] <= energy_threshold
-    (digital silence) and UnstableFrame when the error hits zero or below,
-    which happens for invalid autocorrelation sequences.
+    error power. Raises DegenerateFrame when r[0] <= 0 (digital silence)
+    and UnstableFrame when the error hits zero or below, which happens for
+    invalid autocorrelation sequences.
     """
     r = np.asarray(autocorr, dtype=np.float64)
     if r.ndim != 1 or r.size < order + 1:
         raise ValueError(f"need at least order+1={order + 1} autocorrelation lags")
     if order < 1:
         raise ValueError("order must be at least 1")
-    a, error, status = _levinson_batch(r[None, : order + 1], order, energy_threshold)
+    a, error, status = _levinson_batch(r[None, : order + 1], order)
     if status[0] == LP_DEGENERATE:
-        raise DegenerateFrame(f"frame energy {r[0]!r} is at or below threshold")
+        raise DegenerateFrame(f"frame energy {r[0]!r} is not positive")
     if status[0] == LP_UNSTABLE:
         raise UnstableFrame("prediction error vanished before the final order")
     return LpcFrame(a[0], float(error[0]), order)
@@ -239,10 +219,7 @@ def lp_spectrum(lpc: LpcFrame, fft_size: int, sample_rate: int) -> np.ndarray:
     10*log10(gain / |1 - sum_k a_k e^{-j w k}|^2); finite everywhere for
     stable frames since A(z) then has no zeros on the unit circle.
     """
-    if fft_size < 2 or fft_size & (fft_size - 1):
-        raise ValueError("fft_size must be a power of two")
-    if fft_size < lpc.order + 1:
-        raise ValueError("fft_size must exceed the LP order")
+    NasalConfig(lpc_order=lpc.order, fft_size=fft_size)  # fft_size: a power of two > order
     return _lp_spectra_db(lpc.coefficients[None, :], np.array([lpc.gain]), fft_size)[0]
 
 

@@ -1,7 +1,7 @@
 """Seeded synthetic two-dialect corpus generator.
 
 Each "dialect" is band-limited noise: white noise shaped by a two-pole
-resonator, LT centered near 500 Hz and CT near 3000 Hz by default. The
+resonator, LT centered near 500 Hz and CT near 3000 Hz. The
 resonator center drifts between short segments within each utterance, so
 mean-normalized features still carry class information in their
 frame-to-frame variation. Each synthetic speaker gets a small seeded
@@ -27,6 +27,12 @@ from .labels import DialectLabel
 
 GROUND_TRUTH_NAME = "ground_truth.json"
 
+CENTER_HZ = {DialectLabel.LT: 500.0, DialectLabel.CT: 3000.0}
+RADIUS = 0.9
+PEAK = 0.4  # peak amplitude of every generated signal
+WANDER = 0.3
+SEGMENT_SECONDS = 0.15
+
 
 @dataclass
 class SynthResult:
@@ -49,7 +55,6 @@ def ar_noise(
     center_hz: float,
     radius: float,
     sample_rate: int,
-    peak: float = 0.4,
 ) -> np.ndarray:
     """Band-limited noise: white noise through a resonator, peak-normalized."""
     warmup = 512
@@ -58,7 +63,7 @@ def ar_noise(
     shaped = shaped[warmup:]
     top = np.abs(shaped).max()
     if top > 0.0:
-        shaped = shaped * (peak / top)
+        shaped = shaped * (PEAK / top)
     return shaped
 
 
@@ -68,30 +73,27 @@ def wandering_noise(
     center_hz: float,
     radius: float,
     sample_rate: int,
-    wander: float = 0.3,
-    segment_seconds: float = 0.15,
-    peak: float = 0.4,
 ) -> np.ndarray:
     """Resonator noise whose center frequency drifts between short segments.
 
     A stationary resonator leaves nothing for mean-normalized features to
-    separate, so the utterance is built from short segments with the center
-    redrawn uniformly within +/- wander of center_hz for each one. The class
-    signature then lives in how the spectrum moves, which survives mean
-    removal.
+    separate, so the utterance is built from SEGMENT_SECONDS segments with
+    the center redrawn uniformly within +/- WANDER of center_hz for each
+    one. The class signature then lives in how the spectrum moves, which
+    survives mean removal.
     """
-    seg_len = max(1, int(segment_seconds * sample_rate))
+    seg_len = max(1, int(SEGMENT_SECONDS * sample_rate))
     chunks = []
     got = 0
     while got < num_samples:
-        seg_center = center_hz * (1.0 + rng.uniform(-wander, wander))
+        seg_center = center_hz * (1.0 + rng.uniform(-WANDER, WANDER))
         take = min(seg_len, num_samples - got)
         chunks.append(ar_noise(rng, take, seg_center, radius, sample_rate))
         got += take
     samples = np.concatenate(chunks)
     top = np.abs(samples).max()
     if top > 0.0:
-        samples = samples * (peak / top)
+        samples = samples * (PEAK / top)
     return samples
 
 
@@ -102,9 +104,6 @@ def generate_synthetic_corpus(
     test_per_class: int = 20,
     utterance_seconds: float = 2.0,
     utterances_per_speaker: int = 5,
-    lt_center_hz: float = 500.0,
-    ct_center_hz: float = 3000.0,
-    radius: float = 0.9,
 ) -> SynthResult:
     """Write a labeled synthetic corpus under out_dir.
 
@@ -125,7 +124,6 @@ def generate_synthetic_corpus(
     rng = np.random.default_rng(seed)
     rate = CANONICAL_SAMPLE_RATE
     num_samples = int(round(utterance_seconds * rate))
-    centers = {DialectLabel.LT: lt_center_hz, DialectLabel.CT: ct_center_hz}
     counts = {Split.TRAIN: train_per_class, Split.TEST: test_per_class}
 
     records = []
@@ -141,13 +139,13 @@ def generate_synthetic_corpus(
                 gender = Gender.MALE if s % 2 == 0 else Gender.FEMALE
                 # Small per-speaker shift keeps speakers distinct without
                 # moving either class out of its band.
-                offset = float(rng.uniform(-0.05, 0.05)) * centers[dialect]
+                offset = float(rng.uniform(-0.05, 0.05)) * CENTER_HZ[dialect]
                 cell_speakers.append((speaker, gender))
                 for u in range(utterances_per_speaker):
                     if made >= total:
                         break
                     samples = wandering_noise(
-                        rng, num_samples, centers[dialect] + offset, radius, rate
+                        rng, num_samples, CENTER_HZ[dialect] + offset, RADIUS, rate
                     )
                     name = f"{speaker}-u{u:02d}.wav"
                     path = os.path.join(wav_dir, name)

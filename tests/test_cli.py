@@ -65,6 +65,50 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sweep", "--manifest", "{manifest}", "--components", "0,16"], 2),
+            (["train", "--manifest", "{manifest}", "--components", "0", "--out", "{out}"], 2),
+            (["synth", "--out", "{out}", "--train-per-class", "0"], 2),
+            (["synth", "--out", "{out}", "--test-per-class", "0"], 2),
+            (["synth", "--out", "{out}", "--per-speaker", "0"], 2),
+            (["synth", "--out", "{out}", "--seconds", "-1"], 2),
+            (["synth", "--out", "{out}", "--seconds", "inf"], 2),
+            (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{dup_cfg}"], 1),
+            (["nasal", "--lt-audio", "{wav}", "--ct-audio", "{wav}", "--dump-spectra", "{out}"], 2),
+            (["nasal", "--lt-audio", "{wav}", "--ct-audio", "{wav}", "--start", "0.1"], 2),
+            (["nasal", "--lt-audio", "{wav}", "--ct-audio", "{wav}", "--end", "0.5"], 2),
+            (["nasal", "--audio", "{wav}", "--lt-start", "0.1"], 2),
+            (["nasal", "--audio", "{wav}", "--lt-end", "0.5"], 2),
+            (["nasal", "--audio", "{wav}", "--ct-start", "0.1"], 2),
+            (["nasal", "--audio", "{wav}", "--ct-end", "0.5"], 2),
+        ],
+        ids=[
+            "sweep-zero-components", "train-zero-components", "synth-zero-train",
+            "synth-zero-test", "synth-zero-per-speaker", "synth-negative-seconds",
+            "synth-infinite-seconds", "duplicate-config-key", "pair-with-dump-spectra",
+            "pair-with-start", "pair-with-end", "single-with-lt-start", "single-with-lt-end",
+            "single-with-ct-start", "single-with-ct-end",
+        ],
+    )
+    def test_rejected_invocations_exit_cleanly(
+        self, tiny_corpus, vowel_wav, tmp_path, capsys, argv, code
+    ):
+        dup_cfg = tmp_path / "dup.cfg"
+        dup_cfg.write_text("mfcc.frame_shift_ms = 10\nmfcc.frame_shift_ms = 20\n")
+        out = tmp_path / "out"
+        fill = {
+            "{manifest}": tiny_corpus.manifest_path,
+            "{wav}": vowel_wav,
+            "{out}": str(out),
+            "{dup_cfg}": str(dup_cfg),
+        }
+        assert run([fill.get(arg, arg) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestExtract:
     def test_binary_output_round_trips(self, tiny_corpus, tmp_path):
@@ -127,6 +171,8 @@ class TestExtract:
             "mfcc.num_filters = abc",
             "mfcc.num_filters = 0",
             "mfcc.frame_length_ms = inf",
+            "mfcc.frame_length_ms = 40",
+            "mfcc.high_freq_hz = 9000",
         ],
     )
     def test_bad_config_lines(self, tiny_corpus, tmp_path, line, capsys):
@@ -142,6 +188,19 @@ class TestExtract:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+
+    def test_duplicate_config_key_is_a_data_error(self, tiny_corpus, tmp_path, capsys):
+        wav = tiny_corpus.manifest.records[0].audio_path
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("mfcc.frame_shift_ms = 10\n# wider hop\nmfcc.frame_shift_ms = 20\n")
+        code = run(
+            ["extract", "--audio", wav, "--out", str(tmp_path / "o.bin"), "--config", str(cfg)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'mfcc.frame_shift_ms'" in err
+        assert "line 1" in err and "line 3" in err
+        assert not (tmp_path / "o.bin").exists()
 
     def test_non_utf8_config_is_a_data_error(self, tiny_corpus, tmp_path, capsys):
         wav = tiny_corpus.manifest.records[0].audio_path
@@ -246,8 +305,9 @@ class TestTrainAndClassify:
             lambda d: [d],
             lambda d: {**d, "lt_model": "/lt.gmm"},
             lambda d: {**d, "ct_model": "../ct.gmm"},
+            lambda d: {**d, "feature_config": {**d["feature_config"], "high_freq_hz": 9000.0}},
         ],
-        ids=["no-lt-model", "json-list", "absolute-path", "parent-dir"],
+        ids=["no-lt-model", "json-list", "absolute-path", "parent-dir", "above-nyquist"],
     )
     def test_malformed_bundle_descriptor_is_a_data_error(
         self, bundle_dir, tiny_corpus, tmp_path, capsys, edit

@@ -362,6 +362,8 @@ class TestConfigValidation:
             {"frame_length_ms": math.inf},
             {"frame_shift_ms": math.nan},
             {"high_freq_hz": math.inf},
+            {"frame_length_ms": 40.0},
+            {"high_freq_hz": 9000.0},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
