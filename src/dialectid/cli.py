@@ -22,9 +22,11 @@ for the wall-clock seconds column in sweep reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .classifier import (
@@ -47,6 +49,7 @@ from .corpus import (
     validate_split,
 )
 from .dsp import (
+    CANONICAL_SAMPLE_RATE,
     MfccConfig,
     extract_features,
     extract_segment,
@@ -123,13 +126,36 @@ def _train_config(args, kv, num_components: int) -> TrainConfig:
     return _config(kv, "train", num_components=num_components, **seed)
 
 
-def _emit(args, text: str, records: list[dict]) -> None:
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text file handle whose content lands at path only if the block
+    finishes: it writes a temp file beside path, then os.replace. On any
+    failure the temp file is removed and an existing path stays as it was.
+    A symlink, device or FIFO at path is written in place, not replaced."""
+    if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _emit(args, records: list[dict], text: str) -> None:
+    """Print the report as records (JSON lines) or as text rendered from them."""
     if args.format == "records":
         payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     else:
-        payload = text if text.endswith("\n") else text + "\n"
+        payload = text + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _atomic_open(args.output) as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -151,18 +177,9 @@ def cmd_extract(args, kv) -> int:
         write_features_csv(args.out, features)
     else:
         write_features(args.out, features)
-    _emit(
-        args,
-        f"wrote {features.shape[0]} frames x {features.shape[1]} dims to {args.out}",
-        [
-            {
-                "audio": args.audio,
-                "num_frames": int(features.shape[0]),
-                "dim": int(features.shape[1]),
-                "out": args.out,
-            }
-        ],
-    )
+    num_frames, dim = features.shape
+    record = {"audio": args.audio, "num_frames": num_frames, "dim": dim, "out": args.out}
+    _emit(args, [record], "wrote {num_frames} frames x {dim} dims to {out}".format_map(record))
     return 0
 
 
@@ -173,42 +190,36 @@ def cmd_train(args, kv) -> int:
     train_config = _train_config(args, kv, args.components)
     bundle = train_bundle(manifest, feature_config, train_config)
     save_bundle(bundle, args.out)
-    _emit(
-        args,
-        f"trained {train_config.num_components}-component dialect models -> {args.out}",
-        [
-            {
-                "bundle": args.out,
-                "num_components": train_config.num_components,
-                "dim": bundle.lt_model.dim,
-            }
-        ],
-    )
+    record = {
+        "bundle": args.out,
+        "num_components": train_config.num_components,
+        "dim": bundle.lt_model.dim,
+    }
+    text = "trained {num_components}-component dialect models -> {bundle}".format_map(record)
+    _emit(args, [record], text)
     return 0
 
 
 def cmd_classify(args, kv) -> int:
     bundle = load_bundle(args.bundle)
     decision = classify_utterance(bundle, read_audio(args.audio))
-    tie_note = "  (exact tie, defaulted to LT)" if decision.tie else ""
-    _emit(
-        args,
-        f"{decision.label.value}  lt_score={decision.lt_score!r}  "
-        f"ct_score={decision.ct_score!r}{tie_note}",
-        [
-            {
-                "audio": args.audio,
-                "label": decision.label.value,
-                "lt_score": decision.lt_score,
-                "ct_score": decision.ct_score,
-                "tie": decision.tie,
-            }
-        ],
-    )
+    record = {
+        "audio": args.audio,
+        "label": decision.label.value,
+        "lt_score": decision.lt_score,
+        "ct_score": decision.ct_score,
+        "tie": decision.tie,
+    }
+    text = "{label}  lt_score={lt_score!r}  ct_score={ct_score!r}".format_map(record)
+    _emit(args, [record], text + ("  (exact tie, defaulted to LT)" if record["tie"] else ""))
     return 0
 
 
-def _report_records(report) -> list[dict]:
+def cmd_evaluate(args, kv) -> int:
+    bundle = load_bundle(args.bundle)
+    manifest = load_manifest(args.manifest)
+    _check_speaker_discipline(manifest, manifest)
+    report = evaluate(bundle, manifest)
     records = [
         {
             "type": "decision",
@@ -222,37 +233,24 @@ def _report_records(report) -> list[dict]:
         }
         for d in report.decisions
     ]
-    records.append(
-        {
-            "type": "summary",
-            "utterances": len(report.decisions),
-            "tp": report.true_positives,
-            "fp": report.false_positives,
-            "fn": report.false_negatives,
-            "tn": report.true_negatives,
-            "accuracy": report.accuracy,
-            "precision": report.precision,
-            "recall": report.recall,
-            "f1": report.f1,
-        }
-    )
-    return records
-
-
-def cmd_evaluate(args, kv) -> int:
-    bundle = load_bundle(args.bundle)
-    manifest = load_manifest(args.manifest)
-    _check_speaker_discipline(manifest, manifest)
-    report = evaluate(bundle, manifest)
+    summary = {
+        "type": "summary",
+        "utterances": len(report.decisions),
+        "tp": report.true_positives,
+        "fp": report.false_positives,
+        "fn": report.false_negatives,
+        "tn": report.true_negatives,
+        "accuracy": report.accuracy,
+        "precision": report.precision,
+        "recall": report.recall,
+        "f1": report.f1,
+    }
     text = (
-        f"utterances {len(report.decisions)}  accuracy {report.accuracy:.4f}  "
-        f"precision {report.precision:.4f}  recall {report.recall:.4f}  "
-        f"f1 {report.f1:.4f}\n"
-        f"confusion (LT positive): tp {report.true_positives}  "
-        f"fp {report.false_positives}  fn {report.false_negatives}  "
-        f"tn {report.true_negatives}"
-    )
-    _emit(args, text, _report_records(report))
+        "utterances {utterances}  accuracy {accuracy:.4f}  precision {precision:.4f}  "
+        "recall {recall:.4f}  f1 {f1:.4f}\n"
+        "confusion (LT positive): tp {tp}  fp {fp}  fn {fn}  tn {tn}"
+    ).format_map(summary)
+    _emit(args, records + [summary], text)
     return 0
 
 
@@ -267,68 +265,56 @@ def cmd_sweep(args, kv) -> int:
     rows = sweep_mixtures(
         train_manifest, test_manifest, feature_config, base, args.components
     )
+    records = [dataclasses.asdict(row) for row in rows]
     lines = [f"{'components':>10}  {'accuracy':>8}  {'seconds':>8}"]
-    for row in rows:
-        if row.error is None:
-            lines.append(
-                f"{row.num_components:>10}  {row.accuracy:>8.4f}  {row.seconds:>8.2f}"
-            )
+    for r in records:
+        if r["error"] is None:
+            lines.append("{num_components:>10}  {accuracy:>8.4f}  {seconds:>8.2f}".format_map(r))
         else:
-            lines.append(
-                f"{row.num_components:>10}  {'FAILED':>8}  {row.seconds:>8.2f}  {row.error}"
-            )
-    records = [
-        {
-            "num_components": row.num_components,
-            "accuracy": row.accuracy,
-            "seconds": row.seconds,
-            "error": row.error,
-        }
-        for row in rows
-    ]
-    _emit(args, "\n".join(lines), records)
+            lines.append("{num_components:>10}    FAILED  {seconds:>8.2f}  {error}".format_map(r))
+    _emit(args, records, "\n".join(lines))
     return 0
 
 
-def _nasal_report_lines(name: str, report) -> list[str]:
-    lines = [
-        f"{name}: frames {report.num_frames}  analyzed {report.num_analyzed}  "
-        f"detected fraction {report.detection_fraction:.3f}"
-    ]
-    if report.median_peak_hz is not None:
-        lines.append(
-            f"{name}: median low-band peak {report.median_peak_hz:.1f} Hz  "
-            f"{report.median_peak_db:.2f} dB"
-        )
-    else:
-        lines.append(f"{name}: no analyzable frames")
-    return lines
-
-
 def _nasal_records(name: str, report) -> list[dict]:
+    """One frame record per analyzed frame, then the segment's summary."""
     records = [
         {
             "type": "frame",
             "segment": name,
             "frame": fp.frame_index,
-            "peak_hz": fp.peak.frequency_hz,
-            "peak_db": fp.peak.magnitude_db,
+            "peak_hz": fp.frequency_hz,
+            "peak_db": fp.magnitude_db,
             "detected": fp.detected,
         }
         for fp in report.frame_peaks
     ]
-    records.append(
-        {
-            "type": "summary",
-            "segment": name,
-            "num_frames": report.num_frames,
-            "num_analyzed": report.num_analyzed,
-            "median_peak_hz": report.median_peak_hz,
-            "median_peak_db": report.median_peak_db,
-            "detection_fraction": report.detection_fraction,
-        }
-    )
-    return records
+    # The report's summary fields are the summary record's keys.
+    summary = {k: v for k, v in vars(report).items() if k != "frame_peaks"}
+    return records + [{"type": "summary", "segment": name, **summary}]
+
+
+def _nasal_text(records: list[dict]) -> str:
+    """Text of the summary and verdict records; frame records print nothing."""
+    lines = []
+    for r in records:
+        if r["type"] == "summary":
+            lines.append(
+                "{segment}: frames {num_frames}  analyzed {num_analyzed}  "
+                "detected fraction {detection_fraction:.3f}".format_map(r)
+            )
+            if r["median_peak_hz"] is None:
+                lines.append(f"{r['segment']}: no analyzable frames")
+            else:
+                lines.append(
+                    "{segment}: median low-band peak {median_peak_hz:.1f} Hz  "
+                    "{median_peak_db:.2f} dB".format_map(r)
+                )
+        elif r["type"] == "verdict" and r["stronger"] == "comparable":
+            lines.append("verdict: comparable (difference {difference_db:.2f} dB)".format_map(r))
+        elif r["type"] == "verdict":
+            lines.append(f"verdict: {r['stronger']} stronger by {abs(r['difference_db']):.2f} dB")
+    return "\n".join(lines)
 
 
 def _load_segment(path, start, end):
@@ -347,7 +333,7 @@ def _write_spectra(path, freqs, spectra) -> None:
     """One block per frame: "# frame N", then "frequency dB" lines at full
     float precision (repr), then a blank line."""
     prefixes = [f"{f!r} " for f in freqs.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for index, db in spectra:
             body = "\n".join(map(str.__add__, prefixes, map(repr, db.tolist())))
             fh.write(f"# frame {index}\n{body}\n\n")
@@ -375,14 +361,6 @@ def cmd_nasal(args, kv) -> int:
         lt_report = analyze_segment(lt_signal, config)
         ct_report = analyze_segment(ct_signal, config)
         verdict = compare_degree(lt_report, ct_report)
-        lines = _nasal_report_lines("LT", lt_report) + _nasal_report_lines("CT", ct_report)
-        if verdict.stronger is None:
-            lines.append(f"verdict: comparable (difference {verdict.difference_db:.2f} dB)")
-        else:
-            lines.append(
-                f"verdict: {verdict.stronger.value} stronger by "
-                f"{abs(verdict.difference_db):.2f} dB"
-            )
         records = _nasal_records("LT", lt_report) + _nasal_records("CT", ct_report)
         records.append(
             {
@@ -391,40 +369,37 @@ def cmd_nasal(args, kv) -> int:
                 "difference_db": verdict.difference_db,
             }
         )
-        _emit(args, "\n".join(lines), records)
+        _emit(args, records, _nasal_text(records))
         return 0
 
     signal = _load_segment(args.audio, args.start, args.end)
     report = analyze_segment(signal, config)
     if args.dump_spectra:
         _write_spectra(args.dump_spectra, *segment_lp_spectra(signal, config))
-    _emit(args, "\n".join(_nasal_report_lines("segment", report)), _nasal_records("segment", report))
+    records = _nasal_records("segment", report)
+    _emit(args, records, _nasal_text(records))
     return 0
 
 
 def cmd_validate(args, kv) -> int:
-    manifest = load_manifest(args.manifest)
-    report = validate_split(manifest)
-    lines = ["PASS" if report.passed else "FAIL"]
-    if report.overlapping_speakers:
-        lines.append("overlapping speakers: " + ", ".join(report.overlapping_speakers))
-    for w in report.warnings:
-        lines.append(f"warning: {w}")
-    records = [
-        {
-            "passed": report.passed,
-            "overlapping_speakers": report.overlapping_speakers,
-            "missing": [[d.value, s.value] for d, s in report.missing],
-            "warnings": report.warnings,
-        }
-    ]
-    _emit(args, "\n".join(lines), records)
+    report = validate_split(load_manifest(args.manifest))
+    record = {
+        "passed": report.passed,
+        "overlapping_speakers": report.overlapping_speakers,
+        "missing": [[d.value, s.value] for d, s in report.missing],
+        "warnings": report.warnings,
+    }
+    lines = ["PASS" if record["passed"] else "FAIL"]
+    if record["overlapping_speakers"]:
+        lines.append("overlapping speakers: " + ", ".join(record["overlapping_speakers"]))
+    lines += [f"warning: {w}" for w in record["warnings"]]
+    _emit(args, [record], "\n".join(lines))
     return 0 if report.passed else 1
 
 
 def cmd_stats(args, kv) -> int:
-    stats = corpus_stats(load_manifest(args.manifest))
-    _emit(args, format_stats(stats), stats_records(stats))
+    records = stats_records(corpus_stats(load_manifest(args.manifest)))
+    _emit(args, records, format_stats(records))
     return 0
 
 
@@ -440,37 +415,41 @@ def cmd_synth(args, kv) -> int:
         utterance_seconds=args.seconds,
         utterances_per_speaker=args.per_speaker,
     )
-    _emit(
-        args,
-        f"wrote {len(result.manifest.records)} utterances under {result.out_dir}\n"
-        f"manifest: {result.manifest_path}",
-        [
-            {
-                "manifest": result.manifest_path,
-                "ground_truth": result.ground_truth_path,
-                "utterances": len(result.manifest.records),
-            }
-        ],
-    )
+    record = {
+        "manifest": result.manifest_path,
+        "ground_truth": result.ground_truth_path,
+        "utterances": len(result.manifest.records),
+    }
+    text = f"wrote {record['utterances']} utterances under {os.path.dirname(record['manifest'])}"
+    _emit(args, [record], f"{text}\nmanifest: {record['manifest']}")
     return 0
 
 
-def _positive(cast):
-    """argparse type: a finite number of type cast above zero."""
+def _number(cast, minimum):
+    """argparse type: a finite number of type cast at or above minimum."""
 
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             value = math.nan
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {cast.__name__}")
+        if not minimum <= value < math.inf:
+            wanted = f"a finite {cast.__name__} >= {minimum}"
+            raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
         return value
 
     return parse
 
 
-_count = _positive(int)
+_count = _number(int, 1)
+
+
+def _utterance_seconds(text: str) -> float:
+    """argparse type for synth --seconds: at least one sample at the canonical rate."""
+    value = _number(float, 0.0)(text)
+    if round(value * CANONICAL_SAMPLE_RATE) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} gives no sample at {CANONICAL_SAMPLE_RATE} Hz")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -486,7 +465,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Literary vs colloquial Tamil utterance classification tools.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override every seeded RNG")
+    common.add_argument(
+        "--seed", type=_number(int, 0), default=None, help="override every seeded RNG"
+    )
     common.add_argument("--config", default=None, help="key = value config file")
     common.add_argument("--output", default=None, help="write the report to this file instead of stdout")
     common.add_argument(
@@ -566,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus output directory")
     p.add_argument("--train-per-class", type=_count, default=40, help="train utterances per dialect")
     p.add_argument("--test-per-class", type=_count, default=20, help="test utterances per dialect")
-    p.add_argument("--seconds", type=_positive(float), default=2.0, help="seconds per utterance")
+    p.add_argument("--seconds", type=_utterance_seconds, default=2.0, help="seconds per utterance")
     p.add_argument("--per-speaker", type=_count, default=5, help="utterances per synthetic speaker")
 
     return parser

@@ -303,36 +303,32 @@ def hours_to_hms(hours: float) -> str:
     return f"{total // 3600}:{(total % 3600) // 60:02d}:{total % 60:02d}"
 
 
-def format_stats(stats: CorpusStats) -> str:
-    """Aligned text tables: per-dialect totals, then the split breakdown."""
-    out = ["Corpus totals"]
-    header = f"  {'metric':<18}" + "".join(f"{d.value:>12}" for d in DialectLabel)
-    out.append(header)
-    rows = [
-        ("hours", lambda c: f"{c.duration_hours:.2f}"),
-        ("h:mm:ss", lambda c: hours_to_hms(c.duration_hours)),
-        ("utterances", lambda c: str(c.utterances)),
-        ("speakers", lambda c: str(c.speakers)),
-        ("male spk", lambda c: str(c.male_speakers)),
-        ("female spk", lambda c: str(c.female_speakers)),
-        ("partial", lambda c: "yes" if c.partial else "no"),
-    ]
-    for name, fmt in rows:
-        out.append(
-            f"  {name:<18}"
-            + "".join(f"{fmt(stats.dialect_totals[d]):>12}" for d in DialectLabel)
-        )
-    out.append("")
-    out.append("Split breakdown")
-    out.append(
-        f"  {'metric':<18}{'split':<8}" + "".join(f"{d.value:>12}" for d in DialectLabel)
-    )
+_STATS_ROWS = (
+    ("hours", lambda r: f"{r['duration_hours']:.2f}"),
+    ("h:mm:ss", lambda r: r["duration_hms"]),
+    ("utterances", lambda r: str(r["utterances"])),
+    ("speakers", lambda r: str(r["speakers"])),
+    ("male spk", lambda r: str(r["male_speakers"])),
+    ("female spk", lambda r: str(r["female_speakers"])),
+    ("partial", lambda r: "yes" if r["partial"] else "no"),
+)
+
+
+def format_stats(records: list[dict]) -> str:
+    """Aligned text tables of stats_records: per-dialect totals, then the
+    split breakdown."""
+    cells = {(r["dialect"], r["split"]): r for r in records}
+    dialects = [d.value for d in DialectLabel]
+    header = "".join(f"{d:>12}" for d in dialects)
+
+    def row(label: str, fmt, split: str) -> str:
+        return f"  {label}" + "".join(f"{fmt(cells[(d, split)]):>12}" for d in dialects)
+
+    out = ["Corpus totals", f"  {'metric':<18}{header}"]
+    out += [row(f"{name:<18}", fmt, "all") for name, fmt in _STATS_ROWS]
+    out += ["", "Split breakdown", f"  {'metric':<18}{'split':<8}{header}"]
     for split in Split:
-        for name, fmt in rows:
-            out.append(
-                f"  {name:<18}{split.value:<8}"
-                + "".join(f"{fmt(stats.cells[(d, split)]):>12}" for d in DialectLabel)
-            )
+        out += [row(f"{name:<18}{split.value:<8}", fmt, split.value) for name, fmt in _STATS_ROWS]
     return "\n".join(out)
 
 

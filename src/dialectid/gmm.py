@@ -111,11 +111,8 @@ class TrainConfig:
             raise ValueError("variance_floor_factor must be positive")
         if self.kmeans_max_iterations < 1:
             raise ValueError("kmeans_max_iterations must be at least 1")
-
-
-def _check_dim(model: GmmModel, x: np.ndarray) -> None:
-    if x.shape[-1] != model.dim:
-        raise ValueError(f"frame dim {x.shape[-1]} != model dim {model.dim}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 def _kernel(
@@ -174,15 +171,6 @@ def _frame_log_likelihoods(model: GmmModel, frames: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_density_frame(model: GmmModel, x: np.ndarray) -> float:
-    """Natural-log mixture density of a single frame."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("frame must be a one-dimensional vector")
-    _check_dim(model, x)
-    return float(_frame_log_likelihoods(model, x[None, :])[0])
-
-
 def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
     """Total log-likelihood of a feature matrix: sum over frame densities.
 
@@ -194,7 +182,8 @@ def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
         raise ValueError("features must be a 2-D matrix")
     if f.shape[0] < 1:
         raise ValueError("empty feature matrix")
-    _check_dim(model, f)
+    if f.shape[1] != model.dim:
+        raise ValueError(f"frame dim {f.shape[1]} != model dim {model.dim}")
     return math.fsum(_frame_log_likelihoods(model, f))
 
 

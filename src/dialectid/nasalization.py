@@ -66,15 +66,10 @@ class LpcFrame:
 
 
 @dataclass
-class FormantPeak:
-    frequency_hz: float
-    magnitude_db: float
-
-
-@dataclass
 class FramePeak:
     frame_index: int
-    peak: FormantPeak
+    frequency_hz: float
+    magnitude_db: float
     detected: bool
 
 
@@ -98,7 +93,7 @@ class NasalizationReport:
 
 @dataclass
 class DegreeComparison:
-    """stronger is None when the medians differ by less than the margin."""
+    """stronger is None when the medians differ by at most COMPARABLE_MARGIN_DB."""
 
     stronger: DialectLabel | None
     difference_db: float
@@ -229,8 +224,8 @@ def spectrum_frequencies(fft_size: int, sample_rate: int) -> np.ndarray:
 
 def find_band_peak(
     db: np.ndarray, fft_size: int, sample_rate: int, config: NasalConfig
-) -> tuple[FormantPeak, bool]:
-    """In-band spectral maximum plus a detection flag.
+) -> tuple[float, float, bool]:
+    """(frequency_hz, magnitude_db, detected) of the in-band spectral maximum.
 
     The flag requires the band maximum to be a local maximum of the full
     spectrum and to rise by at least prominence_db above the spectral
@@ -241,7 +236,7 @@ def find_band_peak(
     db = np.asarray(db, dtype=np.float64)
     p, detected = _band_peaks(db[None, :], fft_size, sample_rate, config)
     p = int(p[0])
-    return FormantPeak(p * sample_rate / fft_size, float(db[p])), bool(detected[0])
+    return p * sample_rate / fft_size, float(db[p]), bool(detected[0])
 
 
 def _median(values: np.ndarray) -> float:
@@ -300,10 +295,8 @@ def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> N
     peak_hz = bins * rate / config.fft_size
     peak_db = spectra[np.arange(bins.size), bins]
     frame_peaks = [
-        FramePeak(t, FormantPeak(hz, db), hit)
-        for t, hz, db, hit in zip(
-            indices.tolist(), peak_hz.tolist(), peak_db.tolist(), hits.tolist()
-        )
+        FramePeak(*peak)
+        for peak in zip(indices.tolist(), peak_hz.tolist(), peak_db.tolist(), hits.tolist())
     ]
     return NasalizationReport(
         frame_peaks,
@@ -316,23 +309,21 @@ def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> N
 
 
 def compare_degree(
-    lt_report: NasalizationReport,
-    ct_report: NasalizationReport,
-    margin_db: float = COMPARABLE_MARGIN_DB,
+    lt_report: NasalizationReport, ct_report: NasalizationReport
 ) -> DegreeComparison:
     """Compare nasalization strength of an LT and a CT rendition.
 
-    difference_db is CT median minus LT median; verdicts inside the margin
-    come back as comparable (stronger is None).
+    difference_db is CT median minus LT median; verdicts within
+    COMPARABLE_MARGIN_DB come back as comparable (stronger is None).
     """
     if lt_report.median_peak_db is None:
         raise EmptyReportError("LT report has no analyzed frames")
     if ct_report.median_peak_db is None:
         raise EmptyReportError("CT report has no analyzed frames")
     difference = ct_report.median_peak_db - lt_report.median_peak_db
-    if difference > margin_db:
+    if difference > COMPARABLE_MARGIN_DB:
         stronger = DialectLabel.CT
-    elif difference < -margin_db:
+    elif difference < -COMPARABLE_MARGIN_DB:
         stronger = DialectLabel.LT
     else:
         stronger = None

@@ -112,18 +112,17 @@ def generate_synthetic_corpus(
     """
     if train_per_class < 1 or test_per_class < 1:
         raise ValueError("need at least one utterance per class and split")
-    if utterance_seconds <= 0:
-        raise ValueError("utterance_seconds must be positive")
+    rate = CANONICAL_SAMPLE_RATE
+    num_samples = int(round(utterance_seconds * rate))
+    if num_samples < 1:
+        raise ValueError(f"utterance_seconds {utterance_seconds!r} gives no sample at {rate} Hz")
     if utterances_per_speaker < 1:
         raise ValueError("utterances_per_speaker must be at least 1")
+    rng = np.random.default_rng(seed)
 
     out_dir = os.path.abspath(out_dir)
     wav_dir = os.path.join(out_dir, "wav")
     os.makedirs(wav_dir, exist_ok=True)
-
-    rng = np.random.default_rng(seed)
-    rate = CANONICAL_SAMPLE_RATE
-    num_samples = int(round(utterance_seconds * rate))
     counts = {Split.TRAIN: train_per_class, Split.TEST: test_per_class}
 
     records = []

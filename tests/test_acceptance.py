@@ -30,7 +30,7 @@ from dialectid.corpus import (
     write_manifest,
 )
 from dialectid.dsp import AudioSignal, MfccConfig, cepstral_mean_subtract, extract_features
-from dialectid.gmm import GmmModel, TrainConfig, em_fit, log_density_frame
+from dialectid.gmm import GmmModel, TrainConfig, em_fit, log_likelihood_sequence
 from dialectid.labels import DialectLabel
 from dialectid.nasalization import analyze_segment, compare_degree
 from dialectid.synth import generate_synthetic_corpus, wandering_noise
@@ -126,7 +126,7 @@ def test_criterion_03_density_matches_direct_summation():
         variances = rng.uniform(0.2, 4.0, (m, dim))
         model = GmmModel(weights, means, variances)
         x = rng.uniform(-4.0, 4.0, dim)
-        got = log_density_frame(model, x)
+        got = log_likelihood_sequence(model, x[None, :])
         want = reference.gmm_density_ref(weights, means, variances, x)
         worst = max(worst, abs(got - want) / abs(want))
     verdict(

@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -83,13 +86,20 @@ class TestUsageErrors:
             (["nasal", "--audio", "{wav}", "--lt-end", "0.5"], 2),
             (["nasal", "--audio", "{wav}", "--ct-start", "0.1"], 2),
             (["nasal", "--audio", "{wav}", "--ct-end", "0.5"], 2),
+            (["synth", "--out", "{out}", "--seed", "-1"], 2),
+            (["train", "--manifest", "{manifest}", "--components", "1", "--out", "{out}",
+              "--seed", "-1"], 2),
+            (["train", "--manifest", "{manifest}", "--components", "1", "--out", "{out}",
+              "--config", "{neg_seed_cfg}"], 1),
+            (["synth", "--out", "{out}", "--seconds", "0.00001"], 2),
         ],
         ids=[
             "sweep-zero-components", "train-zero-components", "synth-zero-train",
             "synth-zero-test", "synth-zero-per-speaker", "synth-negative-seconds",
             "synth-infinite-seconds", "duplicate-config-key", "pair-with-dump-spectra",
             "pair-with-start", "pair-with-end", "single-with-lt-start", "single-with-lt-end",
-            "single-with-ct-start", "single-with-ct-end",
+            "single-with-ct-start", "single-with-ct-end", "synth-negative-seed",
+            "train-negative-seed", "train-negative-rng-seed-config", "synth-sub-sample-seconds",
         ],
     )
     def test_rejected_invocations_exit_cleanly(
@@ -97,12 +107,15 @@ class TestUsageErrors:
     ):
         dup_cfg = tmp_path / "dup.cfg"
         dup_cfg.write_text("mfcc.frame_shift_ms = 10\nmfcc.frame_shift_ms = 20\n")
+        neg_seed_cfg = tmp_path / "neg_seed.cfg"
+        neg_seed_cfg.write_text("train.rng_seed = -3\n")
         out = tmp_path / "out"
         fill = {
             "{manifest}": tiny_corpus.manifest_path,
             "{wav}": vowel_wav,
             "{out}": str(out),
             "{dup_cfg}": str(dup_cfg),
+            "{neg_seed_cfg}": str(neg_seed_cfg),
         }
         assert run([fill.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
@@ -306,8 +319,12 @@ class TestTrainAndClassify:
             lambda d: {**d, "lt_model": "/lt.gmm"},
             lambda d: {**d, "ct_model": "../ct.gmm"},
             lambda d: {**d, "feature_config": {**d["feature_config"], "high_freq_hz": 9000.0}},
+            lambda d: {**d, "train_config": {**d["train_config"], "rng_seed": -1}},
         ],
-        ids=["no-lt-model", "json-list", "absolute-path", "parent-dir", "above-nyquist"],
+        ids=[
+            "no-lt-model", "json-list", "absolute-path", "parent-dir", "above-nyquist",
+            "negative-rng-seed",
+        ],
     )
     def test_malformed_bundle_descriptor_is_a_data_error(
         self, bundle_dir, tiny_corpus, tmp_path, capsys, edit
@@ -680,3 +697,173 @@ class TestStartup:
             check=True,
         )
         assert done.stdout.strip() == "[]"
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("flag", ["--output", "--dump-spectra"])
+    def test_failed_replace_keeps_the_old_file(
+        self, vowel_wav, tmp_path, monkeypatch, capsys, flag
+    ):
+        target = tmp_path / "target.txt"
+        target.write_text("old content\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run(["nasal", "--audio", vowel_wav, "--end", "0.5", flag, str(target)]) == 1
+        err = capsys.readouterr().err
+        assert "error: replace refused" in err and "Traceback" not in err
+        assert target.read_text() == "old content\n"
+        assert os.listdir(tmp_path) == ["target.txt"]
+
+    def test_stale_temp_file_is_overwritten(self, vowel_wav, tmp_path):
+        target = tmp_path / "target.txt"
+        (tmp_path / f".target.txt.{os.getpid()}.tmp").write_text("left by a killed run\n")
+        assert run(["nasal", "--audio", vowel_wav, "--end", "0.5", "--output", str(target)]) == 0
+        assert target.read_text().startswith("segment: frames ")
+        assert os.listdir(tmp_path) == ["target.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_non_regular_target_is_written_in_place(self, vowel_wav, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code = run(["nasal", "--audio", vowel_wav, "--end", "0.5", "--output", str(fifo)])
+        reader.join(timeout=30)
+        assert code == 0
+        assert received and received[0].startswith("segment: frames ")
+        assert os.listdir(tmp_path) == ["report.fifo"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_symlink_target_is_written_through(self, vowel_wav, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old content\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert run(["nasal", "--audio", vowel_wav, "--end", "0.5", "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("segment: frames ")
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+# Text reports of the fixtures above, pinned byte for byte. Paths read as
+# <tmp> (the test's tmp_path), <corpus>, <bundle> and <vowel>; the sweep's
+# wall-clock seconds column reads X; classify's scores are filled in from the
+# repr of the same run's records.
+TEXT_GOLDENS = {
+    "extract": "wrote 148 frames x 39 dims to <tmp>/feat.bin\n",
+    "train": "trained 1-component dialect models -> <tmp>/m1\n",
+    "classify": "LT  lt_score={lt}  ct_score={ct}\n",
+    "evaluate": (
+        "utterances 10  accuracy 1.0000  precision 1.0000  recall 1.0000  f1 1.0000\n"
+        "confusion (LT positive): tp 5  fp 0  fn 0  tn 5\n"
+    ),
+    "sweep": (
+        "components  accuracy   seconds\n"
+        "         1    1.0000      X\n"
+        "         2    1.0000      X\n"
+        "    100000    FAILED      X  1184 frames < 100000 mixture components\n"
+    ),
+    "nasal": (
+        "LT: frames 49  analyzed 49  detected fraction 1.000\n"
+        "LT: median low-band peak 250.0 Hz  18.40 dB\n"
+        "CT: frames 149  analyzed 149  detected fraction 0.141\n"
+        "CT: median low-band peak 359.4 Hz  13.12 dB\n"
+        "verdict: LT stronger by 5.28 dB\n"
+    ),
+    "validate": (
+        "FAIL\n"
+        "overlapping speakers: lt-train-s000\n"
+    ),
+    "stats": (
+        "Corpus totals\n"
+        "  metric                      LT          CT\n"
+        "  hours                     0.01        0.01\n"
+        "  h:mm:ss                0:00:20     0:00:20\n"
+        "  utterances                  13          13\n"
+        "  speakers                     4           4\n"
+        "  male spk                     2           2\n"
+        "  female spk                   2           2\n"
+        "  partial                     no          no\n"
+        "\n"
+        "Split breakdown\n"
+        "  metric            split             LT          CT\n"
+        "  hours             train           0.00        0.00\n"
+        "  h:mm:ss           train        0:00:12     0:00:12\n"
+        "  utterances        train              8           8\n"
+        "  speakers          train              2           2\n"
+        "  male spk          train              1           1\n"
+        "  female spk        train              1           1\n"
+        "  partial           train             no          no\n"
+        "  hours             test            0.00        0.00\n"
+        "  h:mm:ss           test         0:00:08     0:00:08\n"
+        "  utterances        test               5           5\n"
+        "  speakers          test               2           2\n"
+        "  male spk          test               1           1\n"
+        "  female spk        test               1           1\n"
+        "  partial           test              no          no\n"
+    ),
+    "synth": (
+        "wrote 6 utterances under <tmp>/c\n"
+        "manifest: <tmp>/c/manifest.tsv\n"
+    ),
+}
+
+
+def _golden_argv(command, tiny_corpus, bundle_dir, vowel_wav, tmp_path):
+    manifest = tiny_corpus.manifest_path
+    wav = tiny_corpus.manifest.records[0].audio_path
+    test_wav = tiny_corpus.manifest.subset(split=Split.TEST)[0].audio_path
+    return {
+        "extract": ["extract", "--audio", wav, "--out", str(tmp_path / "feat.bin")],
+        "train": [
+            "train", "--manifest", manifest, "--components", "1", "--seed", "0",
+            "--out", str(tmp_path / "m1"),
+        ],
+        "classify": ["classify", "--bundle", bundle_dir, "--audio", test_wav],
+        "evaluate": ["evaluate", "--bundle", bundle_dir, "--manifest", manifest],
+        "sweep": ["sweep", "--manifest", manifest, "--components", "1,2,100000", "--seed", "0"],
+        "nasal": [
+            "nasal", "--lt-audio", vowel_wav, "--lt-end", "0.5", "--ct-audio", test_wav,
+        ],
+        "validate": [
+            "validate", "--manifest",
+            _relabeled_manifest(tiny_corpus.manifest, tmp_path, "overlap.tsv"),
+        ],
+        "stats": ["stats", "--manifest", manifest],
+        "synth": [
+            "synth", "--out", str(tmp_path / "c"), "--train-per-class", "2",
+            "--test-per-class", "1", "--seconds", "0.5", "--per-speaker", "2", "--seed", "3",
+        ],
+    }[command]
+
+
+class TestTextGoldens:
+    @pytest.mark.parametrize("command", list(TEXT_GOLDENS))
+    def test_text_report_matches_golden(
+        self, tiny_corpus, bundle_dir, vowel_wav, tmp_path, command
+    ):
+        argv = _golden_argv(command, tiny_corpus, bundle_dir, vowel_wav, tmp_path)
+        report = tmp_path / "report.txt"
+        code = run(argv + ["--format", "text", "--output", str(report)])
+        assert code == (1 if command == "validate" else 0)
+        text = report.read_text(encoding="utf-8")
+        for path, name in (
+            (str(tmp_path), "<tmp>"),
+            (os.path.dirname(tiny_corpus.manifest_path), "<corpus>"),
+            (bundle_dir, "<bundle>"),
+            (vowel_wav, "<vowel>"),
+        ):
+            text = text.replace(path, name)
+        if command == "sweep":
+            text = re.sub(r"(?m)^( *\d+  +\S+  +)\d+\.\d\d", r"\1X", text)
+        expected = TEXT_GOLDENS[command]
+        if command == "classify":
+            records = tmp_path / "report.jsonl"
+            assert run(argv + ["--format", "records", "--output", str(records)]) == 0
+            (record,) = records_from(records)
+            expected = expected.format(lt=repr(record["lt_score"]), ct=repr(record["ct_score"]))
+        assert text == expected

@@ -311,7 +311,7 @@ class TestFormatting:
         assert hours_to_hms(2.0 / 3600.0) == "0:00:02"
 
     def test_text_table_sections(self, tiny_corpus):
-        text = format_stats(corpus_stats(tiny_corpus.manifest))
+        text = format_stats(stats_records(corpus_stats(tiny_corpus.manifest)))
         assert "Corpus totals" in text
         assert "Split breakdown" in text
         assert "h:mm:ss" in text

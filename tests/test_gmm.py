@@ -22,7 +22,6 @@ from dialectid.gmm import (
     em_fit,
     kmeans_init,
     load_model,
-    log_density_frame,
     log_likelihood_sequence,
     save_model,
 )
@@ -36,10 +35,15 @@ def random_model(rng, m, dim):
     return GmmModel(weights, means, variances)
 
 
+def frame_density(model, x):
+    """Log density of one frame, through the sequence scorer."""
+    return log_likelihood_sequence(model, np.asarray(x, dtype=np.float64)[None, :])
+
+
 class TestDensity:
     def test_standard_normal_at_origin(self):
         model = GmmModel([1.0], [[0.0]], [[1.0]])
-        got = log_density_frame(model, np.array([0.0]))
+        got = frame_density(model, [0.0])
         assert abs(got - (-0.5 * math.log(2.0 * math.pi))) < 1e-12
 
     def test_duplicated_component_equals_single(self):
@@ -50,7 +54,7 @@ class TestDensity:
             [[1.5, 0.4], [1.5, 0.4]],
         )
         x = np.array([0.1, 0.2])
-        assert abs(log_density_frame(single, x) - log_density_frame(double, x)) < 1e-12
+        assert abs(frame_density(single, x) - frame_density(double, x)) < 1e-12
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(20)
@@ -59,14 +63,14 @@ class TestDensity:
             dim = int(rng.integers(1, 6))
             model = random_model(rng, m, dim)
             x = rng.uniform(-4.0, 4.0, dim)
-            got = log_density_frame(model, x)
+            got = frame_density(model, x)
             want = reference.gmm_density_ref(model.weights, model.means, model.variances, x)
             assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_dim_mismatch_rejected(self):
         model = GmmModel([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(ValueError):
-            log_density_frame(model, np.zeros(3))
+            frame_density(model, np.zeros(3))
 
 
 class TestSequenceLikelihood:
@@ -74,9 +78,8 @@ class TestSequenceLikelihood:
         rng = np.random.default_rng(21)
         model = random_model(rng, 3, 4)
         x = rng.standard_normal(4)
-        assert log_likelihood_sequence(model, x[None, :]) == pytest.approx(
-            log_density_frame(model, x), abs=1e-12
-        )
+        want = reference.gmm_density_ref(model.weights, model.means, model.variances, x)
+        assert log_likelihood_sequence(model, x[None, :]) == pytest.approx(want, abs=1e-12)
 
     def test_doubled_matrix_is_exactly_twice(self):
         rng = np.random.default_rng(22)
@@ -91,7 +94,7 @@ class TestSequenceLikelihood:
         model = random_model(rng, 2, 3)
         feats = rng.standard_normal((10, 3))
         total = log_likelihood_sequence(model, feats)
-        by_frame = sum(log_density_frame(model, f) for f in feats)
+        by_frame = sum(frame_density(model, f) for f in feats)
         assert abs(total - by_frame) < 1e-9
 
     def test_empty_matrix_rejected(self):
@@ -323,6 +326,7 @@ class TestTrainConfigValidation:
             {"num_components": 2, "variance_floor_factor": math.inf},
             {"num_components": 2, "variance_floor_factor": -math.inf},
             {"num_components": math.nan},
+            {"num_components": 2, "rng_seed": -3},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

@@ -18,6 +18,7 @@ from dialectid.errors import (
 )
 from dialectid.labels import DialectLabel
 from dialectid.nasalization import (
+    COMPARABLE_MARGIN_DB,
     LP_DEGENERATE,
     LP_OK,
     LP_UNSTABLE,
@@ -173,25 +174,25 @@ class TestBandPeakGate:
     def test_prominent_in_band_peak_detected(self):
         db = np.full(513, -60.0)
         db[12:21] = [-40.0, -30.0, -20.0, -10.0, 0.0, -10.0, -20.0, -30.0, -40.0]
-        peak, hit = find_band_peak(db, 1024, SR, NasalConfig())
-        assert peak.frequency_hz == 250.0
-        assert peak.magnitude_db == 0.0
+        hz, db_max, hit = find_band_peak(db, 1024, SR, NasalConfig())
+        assert hz == 250.0
+        assert db_max == 0.0
         assert hit
 
     def test_rising_ramp_is_not_a_local_max(self):
         # Monotone spectrum: the band maximum sits at the upper band edge
         # and keeps rising past it, so the gate must reject it.
         db = np.linspace(-60.0, 0.0, 513)
-        peak, hit = find_band_peak(db, 1024, SR, NasalConfig())
-        assert peak.frequency_hz == pytest.approx(390.625)
+        hz, db_max, hit = find_band_peak(db, 1024, SR, NasalConfig())
+        assert hz == pytest.approx(390.625)
         assert not hit
 
     def test_low_prominence_bump_rejected(self):
         db = np.full(513, -60.0)
         db[15:18] = [-58.5, -58.0, -58.5]
-        peak, hit = find_band_peak(db, 1024, SR, NasalConfig())
-        assert peak.frequency_hz == 250.0
-        assert peak.magnitude_db == -58.0
+        hz, db_max, hit = find_band_peak(db, 1024, SR, NasalConfig())
+        assert hz == 250.0
+        assert db_max == -58.0
         assert not hit
 
     def test_empty_band_rejected(self):
@@ -199,8 +200,8 @@ class TestBandPeakGate:
         # 64-point FFT at 16 kHz puts bins every 250 Hz; ceil(150/250)=1,
         # floor(400/250)=1, so one bin remains and the call must work.
         db = np.zeros(33)
-        peak, _ = find_band_peak(db, 64, SR, cfg)
-        assert peak.frequency_hz == 250.0
+        hz, _, _ = find_band_peak(db, 64, SR, cfg)
+        assert hz == 250.0
         with pytest.raises(ValueError):
             find_band_peak(np.zeros(9), 16, SR, NasalConfig(fft_size=16))
 
@@ -306,10 +307,10 @@ class TestDegreeComparison:
     def test_margin_is_strict(self):
         verdict = compare_degree(report_with_median(10.0), report_with_median(10.5))
         assert verdict.stronger is None
-        wider = compare_degree(
-            report_with_median(10.0), report_with_median(16.0), margin_db=5.0
+        past = compare_degree(
+            report_with_median(10.0), report_with_median(10.0 + 2 * COMPARABLE_MARGIN_DB)
         )
-        assert wider.stronger is DialectLabel.CT
+        assert past.stronger is DialectLabel.CT
 
     def test_sharper_resonance_reads_stronger(self):
         weak = analyze_segment(vowel(seed=11, radius=0.90))
@@ -404,8 +405,8 @@ class TestBatchedCore:
                 ref, cfg.fft_size, SR, cfg.band_low_hz, cfg.band_high_hz,
                 cfg.prominence_span_hz, cfg.prominence_db,
             )
-            assert fp.peak.frequency_hz == freqs[p]
-            assert fp.peak.magnitude_db == pytest.approx(ref[p], abs=1e-6)
+            assert fp.frequency_hz == freqs[p]
+            assert fp.magnitude_db == pytest.approx(ref[p], abs=1e-6)
             assert fp.detected == hit
 
     def test_band_peak_matches_reference_at_spectrum_edges(self):
@@ -423,13 +424,13 @@ class TestBatchedCore:
             )
             db = rng.standard_normal(int(rng.integers(3, 60)))
             fft_size = 2 * (db.size - 1)
-            peak, hit = find_band_peak(db, fft_size, SR, cfg)
+            hz, db_max, hit = find_band_peak(db, fft_size, SR, cfg)
             p, want_hit = reference.band_peak_ref(
                 db, fft_size, SR, cfg.band_low_hz, cfg.band_high_hz,
                 cfg.prominence_span_hz, cfg.prominence_db,
             )
-            assert peak.frequency_hz == p * SR / fft_size
-            assert peak.magnitude_db == db[p]
+            assert hz == p * SR / fft_size
+            assert db_max == db[p]
             assert hit == want_hit
             assert type(hit) is bool
             at_top += p == db.size - 1
@@ -439,8 +440,8 @@ class TestBatchedCore:
         report = analyze_segment(vowel(seed=2, num_samples=SR // 4))
         fp = report.frame_peaks[0]
         assert type(fp.frame_index) is int
-        assert type(fp.peak.frequency_hz) is float
-        assert type(fp.peak.magnitude_db) is float
+        assert type(fp.frequency_hz) is float
+        assert type(fp.magnitude_db) is float
         assert type(fp.detected) is bool
 
     def test_median_is_numpy_median_bit_for_bit(self):
