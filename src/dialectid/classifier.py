@@ -19,7 +19,16 @@ import numpy as np
 from .corpus import CorpusManifest, Split, UtteranceRecord, read_audio
 from .dsp import AudioSignal, MfccConfig, extract_features, extract_segment
 from .errors import EmptyTestSetError, DialectIdError, MissingDialectError
-from .gmm import GmmModel, TrainConfig, em_fit, load_model, log_likelihood_sequence, save_model
+from .fileio import atomic_open
+from .gmm import (
+    GmmModel,
+    TrainConfig,
+    fit_pair,
+    load_model,
+    log_likelihood_sequence,
+    one_blas_thread,
+    save_model,
+)
 from .labels import DialectLabel
 
 BUNDLE_DESCRIPTOR = "bundle.json"
@@ -30,10 +39,16 @@ SWEEP_COMPONENTS = (16, 32, 64, 128, 256)
 
 @dataclass(eq=False)
 class ClassifierBundle:
+    """Both dialect models and the configs that made them. training holds,
+    per dialect value, the frames, EM iterations and final mean per-frame
+    log-likelihood of the fit, or None where that is not known, as for a
+    loaded bundle."""
+
     lt_model: GmmModel
     ct_model: GmmModel
     feature_config: MfccConfig
     train_config: TrainConfig
+    training: dict[str, dict] | None = None
 
     def __post_init__(self):
         if self.lt_model.dim != self.ct_model.dim:
@@ -123,17 +138,35 @@ def _pooled_training_frames(
     return np.vstack([_record_features(rec, feature_config) for rec in records])
 
 
+def _training_record(frames: np.ndarray, trace: list[float]) -> dict:
+    """The deterministic facts of one dialect's fit that bundle.json keeps."""
+    return {
+        "frames": frames.shape[0],
+        "em_iterations": len(trace),
+        "final_log_likelihood_per_frame": trace[-1] / frames.shape[0],
+    }
+
+
 def train_bundle(
     train_manifest: CorpusManifest,
     feature_config: MfccConfig,
     train_config: TrainConfig,
 ) -> ClassifierBundle:
-    """Fit one GMM per dialect on that dialect's pooled training frames."""
-    lt_frames = _pooled_training_frames(train_manifest, DialectLabel.LT, feature_config)
-    ct_frames = _pooled_training_frames(train_manifest, DialectLabel.CT, feature_config)
-    lt_model, _ = em_fit(lt_frames, train_config)
-    ct_model, _ = em_fit(ct_frames, train_config)
-    return ClassifierBundle(lt_model, ct_model, feature_config, train_config)
+    """Fit one GMM per dialect on that dialect's pooled training frames.
+
+    Like sweep_mixtures, it holds OpenBLAS at one thread throughout, not
+    only in fit_pair: after a multithreaded call, OpenBLAS's idle worker
+    spins for a while on the core that the second fit needs.
+    """
+    with one_blas_thread():
+        lt_frames = _pooled_training_frames(train_manifest, DialectLabel.LT, feature_config)
+        ct_frames = _pooled_training_frames(train_manifest, DialectLabel.CT, feature_config)
+        (lt_model, lt_trace), (ct_model, ct_trace) = fit_pair(lt_frames, ct_frames, train_config)
+    training = {
+        DialectLabel.LT.value: _training_record(lt_frames, lt_trace),
+        DialectLabel.CT.value: _training_record(ct_frames, ct_trace),
+    }
+    return ClassifierBundle(lt_model, ct_model, feature_config, train_config, training)
 
 
 def _decide(lt_model: GmmModel, ct_model: GmmModel, features: np.ndarray) -> Decision:
@@ -200,7 +233,8 @@ def sweep_mixtures(
 
     Features are extracted once and shared across rows. A row that fails
     (for example, fewer frames than components) is recorded with its error
-    message and the sweep moves on.
+    message and the sweep moves on. OpenBLAS runs on one thread for the
+    whole sweep (see train_bundle).
     """
     counts = list(component_counts)
     if not counts:
@@ -208,30 +242,34 @@ def sweep_mixtures(
     if any(c < 1 for c in counts):
         raise ValueError("component counts must be positive")
 
-    pooled = {
-        d: _pooled_training_frames(train_manifest, d, feature_config)
-        for d in DialectLabel
-    }
-    test_features = [
-        (rec, _record_features(rec, feature_config)) for rec in _test_records(test_manifest)
-    ]
+    with one_blas_thread():
+        pooled = {
+            d: _pooled_training_frames(train_manifest, d, feature_config)
+            for d in DialectLabel
+        }
+        test_features = [
+            (rec, _record_features(rec, feature_config)) for rec in _test_records(test_manifest)
+        ]
 
-    rows = []
-    for count in counts:
-        start = time.perf_counter()
-        try:
-            config = replace(base_train_config, num_components=count)
-            lt_model, _ = em_fit(pooled[DialectLabel.LT], config)
-            ct_model, _ = em_fit(pooled[DialectLabel.CT], config)
-            accuracy = _score(lt_model, ct_model, test_features).accuracy
-            rows.append(SweepRow(count, accuracy, time.perf_counter() - start))
-        except DialectIdError as exc:
-            rows.append(SweepRow(count, None, time.perf_counter() - start, str(exc)))
+        rows = []
+        for count in counts:
+            start = time.perf_counter()
+            try:
+                config = replace(base_train_config, num_components=count)
+                (lt_model, _), (ct_model, _) = fit_pair(
+                    pooled[DialectLabel.LT], pooled[DialectLabel.CT], config
+                )
+                accuracy = _score(lt_model, ct_model, test_features).accuracy
+                rows.append(SweepRow(count, accuracy, time.perf_counter() - start))
+            except DialectIdError as exc:
+                rows.append(SweepRow(count, None, time.perf_counter() - start, str(exc)))
     return rows
 
 
 def save_bundle(bundle: ClassifierBundle, directory) -> None:
-    """Persist as lt.gmm + ct.gmm + a JSON descriptor with both configs."""
+    """Persist as lt.gmm + ct.gmm + a JSON descriptor with both configs and
+    the training record. The descriptor is written last, because
+    load_bundle reads it first; each file is replaced whole or not at all."""
     os.makedirs(directory, exist_ok=True)
     save_model(bundle.lt_model, os.path.join(directory, _LT_MODEL_NAME))
     save_model(bundle.ct_model, os.path.join(directory, _CT_MODEL_NAME))
@@ -242,8 +280,9 @@ def save_bundle(bundle: ClassifierBundle, directory) -> None:
         "ct_model": _CT_MODEL_NAME,
         "feature_config": asdict(bundle.feature_config),
         "train_config": asdict(bundle.train_config),
+        "training": bundle.training,
     }
-    with open(os.path.join(directory, BUNDLE_DESCRIPTOR), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(directory, BUNDLE_DESCRIPTOR)) as fh:
         json.dump(descriptor, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

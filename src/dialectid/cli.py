@@ -22,7 +22,6 @@ for the wall-clock seconds column in sweep reports.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -57,6 +56,7 @@ from .dsp import (
     write_features_csv,
 )
 from .errors import ConfigError, DialectIdError, ManifestError
+from .fileio import atomic_open
 from .gmm import TrainConfig
 from .nasalization import (
     NasalConfig,
@@ -73,7 +73,8 @@ _CONFIG_KEYS = {
 
 
 def _load_config(path) -> dict[str, str]:
-    """Flat `key = value` file with mfcc./train./nasal. keys, each set once."""
+    """Flat `key = value` file with mfcc./train./nasal. keys, each set once;
+    every section the file sets must build a valid config."""
     kv: dict[str, str] = {}
     key_lines: dict[str, int] = {}
     try:
@@ -97,6 +98,10 @@ def _load_config(path) -> dict[str, str]:
             raise ConfigError(f"{path}: {key!r} is set on line {key_lines[key]} and line {lineno}")
         key_lines[key] = lineno
         kv[key] = value.strip()
+    # Check each section's values now, not only when a command builds it;
+    # sections are built in the order the file first names them.
+    for section in dict.fromkeys(key.partition(".")[0] for key in kv):
+        _config(kv, section, **({"num_components": 1} if section == "train" else {}))
     return kv
 
 
@@ -126,28 +131,6 @@ def _train_config(args, kv, num_components: int) -> TrainConfig:
     return _config(kv, "train", num_components=num_components, **seed)
 
 
-@contextlib.contextmanager
-def _atomic_open(path):
-    """Text file handle whose content lands at path only if the block
-    finishes: it writes a temp file beside path, then os.replace. On any
-    failure the temp file is removed and an existing path stays as it was.
-    A symlink, device or FIFO at path is written in place, not replaced."""
-    if os.path.lexists(path) and (os.path.islink(path) or not os.path.isfile(path)):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "w", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _emit(args, records: list[dict], text: str) -> None:
     """Print the report as records (JSON lines) or as text rendered from them."""
     if args.format == "records":
@@ -155,7 +138,7 @@ def _emit(args, records: list[dict], text: str) -> None:
     else:
         payload = text + "\n"
     if args.output:
-        with _atomic_open(args.output) as fh:
+        with atomic_open(args.output) as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
@@ -333,7 +316,7 @@ def _write_spectra(path, freqs, spectra) -> None:
     """One block per frame: "# frame N", then "frequency dB" lines at full
     float precision (repr), then a blank line."""
     prefixes = [f"{f!r} " for f in freqs.tolist()]
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         for index, db in spectra:
             body = "\n".join(map(str.__add__, prefixes, map(repr, db.tolist())))
             fh.write(f"# frame {index}\n{body}\n\n")

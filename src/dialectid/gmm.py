@@ -9,8 +9,13 @@ a per-dimension variance floor, and is fully deterministic for a given
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,7 @@ from .errors import (
     ModelVersionError,
     require_finite_fields,
 )
+from .fileio import atomic_open
 
 MODEL_MAGIC = b"GMM1"
 MODEL_VERSION = 1
@@ -394,13 +400,87 @@ def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]
     return GmmModel(weights, means, variances), trace
 
 
+@functools.cache
+def _openblas_thread_functions():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy's
+    wheel, or None when numpy uses another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    for name in sorted(n for n in names if n.startswith("libscipy_openblas")):
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        try:
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore the saved
+    count; yields False, changing nothing, when the setter is not found.
+    Nesting is fine, but not two threads using it at once: the count is
+    process-wide."""
+    handles = _openblas_thread_functions()
+    if handles is None:
+        yield False
+        return
+    get, set_ = handles
+    saved = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(saved)
+
+
+def fit_pair(
+    lt_frames: np.ndarray, ct_frames: np.ndarray, config: TrainConfig
+) -> tuple[tuple[GmmModel, list[float]], tuple[GmmModel, list[float]]]:
+    """em_fit of the LT and the CT frames: ((model, trace) of LT, of CT).
+
+    The fits share nothing, so with two usable CPUs CT is fitted on a second
+    thread while LT is fitted on the calling one. OpenBLAS is held at one
+    thread meanwhile, so the cores are not oversubscribed and the models are
+    those of a one-thread BLAS whatever OPENBLAS_NUM_THREADS says. With one
+    CPU the fits run in turn, still on one BLAS thread; without the OpenBLAS
+    setter they run in turn on the BLAS's own threads. An LT error is raised
+    before a CT error, as in sequential order.
+    """
+    with one_blas_thread() as pinned:
+        if not pinned or len(os.sched_getaffinity(0)) < 2:
+            return em_fit(lt_frames, config), em_fit(ct_frames, config)
+        ct_outcome: list = []
+
+        def fit_ct():
+            try:
+                ct_outcome.append(em_fit(ct_frames, config))
+            except Exception as exc:
+                ct_outcome.append(exc)
+
+        worker = threading.Thread(target=fit_ct, name="dialectid-fit-ct")
+        worker.start()
+        try:
+            lt = em_fit(lt_frames, config)
+        finally:
+            worker.join()
+        (ct,) = ct_outcome
+        if isinstance(ct, Exception):
+            raise ct
+        return lt, ct
+
+
 def save_model(model: GmmModel, path) -> None:
     """Serialize a validated model: header then weights, means, variances."""
     model.validate()
     header = _MODEL_HEADER.pack(
         MODEL_MAGIC, MODEL_VERSION, model.dim, model.num_components
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.means, dtype="<f8").tobytes())

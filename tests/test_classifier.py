@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dialectid
+from dialectid import gmm
 from dialectid.classifier import (
     ClassifierBundle,
     classify_utterance,
@@ -24,8 +29,9 @@ from dialectid.errors import (
     EmptyTestSetError,
     MissingDialectError,
 )
-from dialectid.gmm import GmmModel, TrainConfig
+from dialectid.gmm import GmmModel, TrainConfig, em_fit
 from dialectid.labels import DialectLabel
+from dialectid.synth import generate_synthetic_corpus
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +351,142 @@ class TestBundlePersistence:
         desc.write_text(json.dumps(blob), encoding="utf-8")
         with pytest.raises(DialectIdError, match="dims"):
             load_bundle(out)
+
+    def test_descriptor_records_each_dialects_fit(self, tmp_path, tiny_corpus, bundle_m1):
+        save_bundle(bundle_m1, tmp_path / "bundle")
+        blob = json.loads((tmp_path / "bundle" / "bundle.json").read_text(encoding="utf-8"))
+        assert sorted(blob["training"]) == ["CT", "LT"]
+        for dialect in DialectLabel:
+            frames = np.vstack(
+                [
+                    extract_features(read_audio(r.audio_path))
+                    for r in tiny_corpus.manifest.subset(dialect, Split.TRAIN)
+                ]
+            )
+            with gmm.one_blas_thread():
+                _, trace = em_fit(frames, bundle_m1.train_config)
+            assert blob["training"][dialect.value] == {
+                "frames": frames.shape[0],
+                "em_iterations": len(trace),
+                "final_log_likelihood_per_frame": trace[-1] / frames.shape[0],
+            }
+
+    def test_descriptor_is_written_last(self, tmp_path, bundle_m1, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def record(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        save_bundle(bundle_m1, tmp_path / "bundle")
+        assert replaced == ["lt.gmm", "ct.gmm", "bundle.json"]
+
+    def test_failed_replace_keeps_the_old_bundle(
+        self, tmp_path, tiny_corpus, bundle_m1, monkeypatch
+    ):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        other = train_bundle(
+            tiny_corpus.manifest, MfccConfig(), TrainConfig(num_components=2, rng_seed=1)
+        )
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            save_bundle(other, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.fixture(scope="module")
+def long_corpus(tmp_path_factory):
+    """More than BLOCK_FRAMES training frames per dialect, so the E-step
+    statistics of a fit add up more than one block."""
+    out = tmp_path_factory.mktemp("long_corpus")
+    result = generate_synthetic_corpus(
+        str(out),
+        seed=9,
+        train_per_class=9,
+        test_per_class=1,
+        utterance_seconds=5.0,
+        utterances_per_speaker=3,
+    )
+    for dialect in DialectLabel:
+        records = result.manifest.subset(dialect, Split.TRAIN)
+        frames = sum(extract_features(read_audio(r.audio_path)).shape[0] for r in records)
+        assert frames > gmm.BLOCK_FRAMES
+    return result
+
+
+class TestTrainingThreads:
+    # Trains M = 16 and M = 256 bundles through the CLI and prints a digest
+    # line per model file. argv[1] "sequential" hides the second CPU, which
+    # makes fit_pair fit LT and CT one after the other.
+    PROBE = (
+        "import hashlib, os, sys\n"
+        "if sys.argv[1] == 'sequential':\n"
+        "    os.sched_getaffinity = lambda pid: {0}\n"
+        "from dialectid.cli import run\n"
+        "manifest, config, out = sys.argv[2:]\n"
+        "for m in ('16', '256'):\n"
+        "    bundle = os.path.join(out, sys.argv[1] + m)\n"
+        "    argv = ['train', '--manifest', manifest, '--components', m,\n"
+        "            '--config', config, '--out', bundle]\n"
+        "    assert run(argv) == 0\n"
+        "    for name in ('lt.gmm', 'ct.gmm'):\n"
+        "        with open(os.path.join(bundle, name), 'rb') as fh:\n"
+        "            print('digest', m, name, hashlib.sha256(fh.read()).hexdigest())\n"
+    )
+
+    def test_model_bytes_identical_across_blas_threads_and_layouts(self, long_corpus, tmp_path):
+        src = os.path.dirname(os.path.dirname(dialectid.__file__))
+        config = tmp_path / "train.cfg"
+        config.write_text(
+            "train.max_em_iterations = 4\n"
+            "train.kmeans_max_iterations = 4\n"
+            "train.convergence_tol = 1e-12\n"
+        )
+        digests = {}
+        for threads, layout in (("1", "concurrent"), ("2", "concurrent"), ("2", "sequential")):
+            done = subprocess.run(
+                [
+                    sys.executable, "-c", self.PROBE, layout,
+                    long_corpus.manifest_path, str(config), str(tmp_path / threads),
+                ],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            digests[threads, layout] = [
+                line for line in done.stdout.splitlines() if line.startswith("digest ")
+            ]
+        assert len(next(iter(digests.values()))) == 4
+        assert len(set(map(tuple, digests.values()))) == 1, digests
+
+    def test_blas_thread_count_is_restored(self, tiny_corpus):
+        handles = gmm._openblas_thread_functions()
+        if handles is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+        get, set_ = handles
+        saved = get()
+        set_(2)
+        try:
+            train_bundle(tiny_corpus.manifest, MfccConfig(), TrainConfig(num_components=1))
+            assert get() == 2
+            rows = sweep_mixtures(
+                tiny_corpus.manifest,
+                tiny_corpus.manifest,
+                MfccConfig(),
+                TrainConfig(num_components=1),
+                [1, 5000],
+            )
+            assert rows[0].error is None and rows[1].error is not None
+            assert get() == 2
+        finally:
+            set_(saved)

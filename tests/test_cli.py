@@ -92,6 +92,9 @@ class TestUsageErrors:
             (["train", "--manifest", "{manifest}", "--components", "1", "--out", "{out}",
               "--config", "{neg_seed_cfg}"], 1),
             (["synth", "--out", "{out}", "--seconds", "0.00001"], 2),
+            (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{neg_seed_cfg}"], 1),
+            (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{bad_nasal_cfg}"], 1),
+            (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{neg_seed_cfg}"], 1),
         ],
         ids=[
             "sweep-zero-components", "train-zero-components", "synth-zero-train",
@@ -100,6 +103,8 @@ class TestUsageErrors:
             "pair-with-start", "pair-with-end", "single-with-lt-start", "single-with-lt-end",
             "single-with-ct-start", "single-with-ct-end", "synth-negative-seed",
             "train-negative-seed", "train-negative-rng-seed-config", "synth-sub-sample-seconds",
+            "extract-negative-rng-seed-config", "extract-zero-lpc-order-config",
+            "nasal-negative-rng-seed-config",
         ],
     )
     def test_rejected_invocations_exit_cleanly(
@@ -109,6 +114,8 @@ class TestUsageErrors:
         dup_cfg.write_text("mfcc.frame_shift_ms = 10\nmfcc.frame_shift_ms = 20\n")
         neg_seed_cfg = tmp_path / "neg_seed.cfg"
         neg_seed_cfg.write_text("train.rng_seed = -3\n")
+        bad_nasal_cfg = tmp_path / "bad_nasal.cfg"
+        bad_nasal_cfg.write_text("mfcc.frame_shift_ms = 10\nnasal.lpc_order = 0\n")
         out = tmp_path / "out"
         fill = {
             "{manifest}": tiny_corpus.manifest_path,
@@ -116,6 +123,7 @@ class TestUsageErrors:
             "{out}": str(out),
             "{dup_cfg}": str(dup_cfg),
             "{neg_seed_cfg}": str(neg_seed_cfg),
+            "{bad_nasal_cfg}": str(bad_nasal_cfg),
         }
         assert run([fill.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
@@ -680,6 +688,21 @@ class TestStartup:
             check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_thread_pool(self):
+        # Training runs its second fit on a plain threading.Thread; an
+        # executor module would cost every classify and nasal process ~7 ms.
+        src = os.path.dirname(os.path.dirname(dialectid.__file__))
+        probe = "import sys, dialectid.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
     def test_package_import_loads_no_submodule(self):
         # The package root is bare; each command imports only what it uses.

@@ -20,6 +20,7 @@ from dialectid.gmm import (
     GmmModel,
     TrainConfig,
     em_fit,
+    fit_pair,
     kmeans_init,
     load_model,
     log_likelihood_sequence,
@@ -205,6 +206,54 @@ class TestEmFit:
         data[3, 1] = np.nan
         with pytest.raises(ValueError):
             em_fit(data, TrainConfig(num_components=1))
+
+
+def assert_same_fit(got, want):
+    (model, trace), (want_model, want_trace) = got, want
+    assert np.array_equal(model.weights, want_model.weights)
+    assert np.array_equal(model.means, want_model.means)
+    assert np.array_equal(model.variances, want_model.variances)
+    assert trace == want_trace
+
+
+class TestFitPair:
+    CONFIG = TrainConfig(num_components=8, max_em_iterations=5, rng_seed=2)
+
+    def test_equals_two_em_fits_on_one_blas_thread(self):
+        rng = np.random.default_rng(34)
+        lt = rng.standard_normal((900, 5))
+        ct = rng.standard_normal((700, 5)) + 1.0
+        got = fit_pair(lt, ct, self.CONFIG)
+        with gmm.one_blas_thread():
+            want = em_fit(lt, self.CONFIG), em_fit(ct, self.CONFIG)
+        assert_same_fit(got[0], want[0])
+        assert_same_fit(got[1], want[1])
+
+    @pytest.mark.parametrize("fallback", ["one-cpu", "no-blas-setter"])
+    def test_fallbacks_fit_in_order_on_the_calling_thread(self, monkeypatch, fallback):
+        if fallback == "one-cpu":
+            monkeypatch.setattr(gmm.os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.setattr(gmm, "_openblas_thread_functions", lambda: None)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a fallback started a thread")
+
+        monkeypatch.setattr(gmm.threading, "Thread", no_thread)
+        fitted = []
+        monkeypatch.setattr(gmm, "em_fit", lambda data, config: fitted.append(data) or data)
+        assert fit_pair("lt", "ct", self.CONFIG) == ("lt", "ct")
+        assert fitted == ["lt", "ct"]
+
+    def test_ct_error_is_raised(self):
+        rng = np.random.default_rng(35)
+        with pytest.raises(FewerFramesThanComponents, match="^5 frames"):
+            fit_pair(rng.standard_normal((50, 2)), rng.standard_normal((5, 2)), self.CONFIG)
+
+    def test_lt_error_comes_before_ct_error(self):
+        rng = np.random.default_rng(36)
+        with pytest.raises(FewerFramesThanComponents, match="^4 frames"):
+            fit_pair(rng.standard_normal((4, 2)), rng.standard_normal((6, 2)), self.CONFIG)
 
 
 def rel_err(got, want):
