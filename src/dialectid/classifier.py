@@ -27,6 +27,7 @@ from .gmm import (
     load_model,
     log_likelihood_sequence,
     one_blas_thread,
+    run_pair,
     save_model,
 )
 from .labels import DialectLabel
@@ -138,6 +139,16 @@ def _pooled_training_frames(
     return np.vstack([_record_features(rec, feature_config) for rec in records])
 
 
+def _pooled_pair(
+    manifest: CorpusManifest, feature_config: MfccConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled (LT, CT) training frames, extracted concurrently by run_pair."""
+    return run_pair(
+        lambda: _pooled_training_frames(manifest, DialectLabel.LT, feature_config),
+        lambda: _pooled_training_frames(manifest, DialectLabel.CT, feature_config),
+    )
+
+
 def _training_record(frames: np.ndarray, trace: list[float]) -> dict:
     """The deterministic facts of one dialect's fit that bundle.json keeps."""
     return {
@@ -154,13 +165,14 @@ def train_bundle(
 ) -> ClassifierBundle:
     """Fit one GMM per dialect on that dialect's pooled training frames.
 
-    Like sweep_mixtures, it holds OpenBLAS at one thread throughout, not
-    only in fit_pair: after a multithreaded call, OpenBLAS's idle worker
-    spins for a while on the core that the second fit needs.
+    The two dialects' frames are extracted, then fitted, concurrently
+    (run_pair). Like sweep_mixtures, it holds OpenBLAS at one thread
+    throughout, not only inside run_pair: after a multithreaded call,
+    OpenBLAS's idle worker spins for a while on the core that the second
+    job needs.
     """
     with one_blas_thread():
-        lt_frames = _pooled_training_frames(train_manifest, DialectLabel.LT, feature_config)
-        ct_frames = _pooled_training_frames(train_manifest, DialectLabel.CT, feature_config)
+        lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
         (lt_model, lt_trace), (ct_model, ct_trace) = fit_pair(lt_frames, ct_frames, train_config)
     training = {
         DialectLabel.LT.value: _training_record(lt_frames, lt_trace),
@@ -169,12 +181,16 @@ def train_bundle(
     return ClassifierBundle(lt_model, ct_model, feature_config, train_config, training)
 
 
-def _decide(lt_model: GmmModel, ct_model: GmmModel, features: np.ndarray) -> Decision:
-    lt = log_likelihood_sequence(lt_model, features)
-    ct = log_likelihood_sequence(ct_model, features)
-    tie = lt == ct
+def _decision(lt: float, ct: float) -> Decision:
     label = DialectLabel.LT if lt >= ct else DialectLabel.CT
-    return Decision(label, lt, ct, tie)
+    return Decision(label, lt, ct, lt == ct)
+
+
+def _decide(lt_model: GmmModel, ct_model: GmmModel, features: np.ndarray) -> Decision:
+    return _decision(
+        log_likelihood_sequence(lt_model, features),
+        log_likelihood_sequence(ct_model, features),
+    )
 
 
 def classify_utterance(bundle: ClassifierBundle, signal: AudioSignal) -> Decision:
@@ -183,11 +199,10 @@ def classify_utterance(bundle: ClassifierBundle, signal: AudioSignal) -> Decisio
     return _decide(bundle.lt_model, bundle.ct_model, features)
 
 
-def _score(lt_model: GmmModel, ct_model: GmmModel, scored) -> EvalReport:
-    """Decide every (record, features) pair and tally the confusion matrix."""
+def _score(decided) -> EvalReport:
+    """Tally the confusion matrix of (record, Decision) pairs."""
     decisions = []
-    for rec, features in scored:
-        d = _decide(lt_model, ct_model, features)
+    for rec, d in decided:
         decisions.append(
             UtteranceDecision(
                 rec.audio_path, rec.speaker_id, rec.dialect,
@@ -215,11 +230,12 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
     (validate_split); this function only consumes split == test records.
     Features are extracted one utterance at a time.
     """
-    scored = (
-        (rec, _record_features(rec, bundle.feature_config))
+    lt_model, ct_model = bundle.lt_model, bundle.ct_model
+    decided = (
+        (rec, _decide(lt_model, ct_model, _record_features(rec, bundle.feature_config)))
         for rec in _test_records(test_manifest)
     )
-    return _score(bundle.lt_model, bundle.ct_model, scored)
+    return _score(decided)
 
 
 def sweep_mixtures(
@@ -234,7 +250,9 @@ def sweep_mixtures(
     Features are extracted once and shared across rows. A row that fails
     (for example, fewer frames than components) is recorded with its error
     message and the sweep moves on. OpenBLAS runs on one thread for the
-    whole sweep (see train_bundle).
+    whole sweep (see train_bundle), and every stage runs on two threads
+    through run_pair: the LT and CT training extraction, the two halves of
+    the test extraction, and each row's fits and its LT and CT scoring.
     """
     counts = list(component_counts)
     if not counts:
@@ -243,41 +261,64 @@ def sweep_mixtures(
         raise ValueError("component counts must be positive")
 
     with one_blas_thread():
-        pooled = {
-            d: _pooled_training_frames(train_manifest, d, feature_config)
-            for d in DialectLabel
-        }
-        test_features = [
-            (rec, _record_features(rec, feature_config)) for rec in _test_records(test_manifest)
-        ]
+        lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
+        # Contiguous halves: run_pair raises the first half's error first, so
+        # the first bad record in manifest order is the one reported.
+        records = _test_records(test_manifest)
+        half = (len(records) + 1) // 2
+        first, second = run_pair(
+            lambda: [_record_features(rec, feature_config) for rec in records[:half]],
+            lambda: [_record_features(rec, feature_config) for rec in records[half:]],
+        )
+        test_features = first + second
 
         rows = []
         for count in counts:
             start = time.perf_counter()
             try:
                 config = replace(base_train_config, num_components=count)
-                (lt_model, _), (ct_model, _) = fit_pair(
-                    pooled[DialectLabel.LT], pooled[DialectLabel.CT], config
+                (lt_model, _), (ct_model, _) = fit_pair(lt_frames, ct_frames, config)
+                lt_scores, ct_scores = run_pair(
+                    lambda: [log_likelihood_sequence(lt_model, f) for f in test_features],
+                    lambda: [log_likelihood_sequence(ct_model, f) for f in test_features],
                 )
-                accuracy = _score(lt_model, ct_model, test_features).accuracy
+                decided = (
+                    (rec, _decision(lt, ct))
+                    for rec, lt, ct in zip(records, lt_scores, ct_scores)
+                )
+                accuracy = _score(decided).accuracy
                 rows.append(SweepRow(count, accuracy, time.perf_counter() - start))
             except DialectIdError as exc:
                 rows.append(SweepRow(count, None, time.perf_counter() - start, str(exc)))
     return rows
 
 
+def _sha256(path) -> str:
+    # Imported here so that commands without a bundle do not pay for it.
+    import hashlib
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def save_bundle(bundle: ClassifierBundle, directory) -> None:
-    """Persist as lt.gmm + ct.gmm + a JSON descriptor with both configs and
-    the training record. The descriptor is written last, because
-    load_bundle reads it first; each file is replaced whole or not at all."""
+    """Persist as lt.gmm + ct.gmm + a JSON descriptor with both configs, the
+    training record and each model file's SHA-256. The descriptor is written
+    last, because load_bundle reads it first; each file is replaced whole or
+    not at all, and the digests expose a model left from an earlier bundle
+    when a later replace failed."""
     os.makedirs(directory, exist_ok=True)
-    save_model(bundle.lt_model, os.path.join(directory, _LT_MODEL_NAME))
-    save_model(bundle.ct_model, os.path.join(directory, _CT_MODEL_NAME))
+    lt_path = os.path.join(directory, _LT_MODEL_NAME)
+    ct_path = os.path.join(directory, _CT_MODEL_NAME)
+    save_model(bundle.lt_model, lt_path)
+    save_model(bundle.ct_model, ct_path)
     descriptor = {
         "format": "dialectid-bundle",
         "version": 1,
         "lt_model": _LT_MODEL_NAME,
+        "lt_model_sha256": _sha256(lt_path),
         "ct_model": _CT_MODEL_NAME,
+        "ct_model_sha256": _sha256(ct_path),
         "feature_config": asdict(bundle.feature_config),
         "train_config": asdict(bundle.train_config),
         "training": bundle.training,
@@ -287,13 +328,21 @@ def save_bundle(bundle: ClassifierBundle, directory) -> None:
         fh.write("\n")
 
 
-def _bundle_member(directory, descriptor: dict, key: str, path) -> str:
-    """Path of a model named in the descriptor; the name must be a plain
-    file name inside the bundle directory."""
+def _load_member(directory, descriptor: dict, key: str, path) -> GmmModel:
+    """The model named in the descriptor; the name must be a plain file name
+    inside the bundle directory, and the file must match its recorded
+    SHA-256 when the descriptor has one (bundles saved before digests were
+    recorded have none)."""
     name = descriptor.get(key)
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise DialectIdError(f"{path}: {key} must be a file name inside the bundle, got {name!r}")
-    return os.path.join(directory, name)
+    member = os.path.join(directory, name)
+    digest = descriptor.get(f"{key}_sha256")
+    if digest is not None and digest != _sha256(member):
+        raise DialectIdError(
+            f"{member}: SHA-256 does not match {path}; the bundle mixes files of two saves"
+        )
+    return load_model(member)
 
 
 def load_bundle(directory) -> ClassifierBundle:
@@ -312,8 +361,8 @@ def load_bundle(directory) -> ClassifierBundle:
         train_config = TrainConfig(**descriptor["train_config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DialectIdError(f"{path}: bad config in descriptor ({exc})") from None
-    lt_model = load_model(_bundle_member(directory, descriptor, "lt_model", path))
-    ct_model = load_model(_bundle_member(directory, descriptor, "ct_model", path))
+    lt_model = _load_member(directory, descriptor, "lt_model", path)
+    ct_model = _load_member(directory, descriptor, "ct_model", path)
     try:
         return ClassifierBundle(lt_model, ct_model, feature_config, train_config)
     except ValueError as exc:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dsp import CANONICAL_SAMPLE_RATE, AudioSignal
 from .errors import AudioFormatError, ManifestError, SampleRateMismatch
+from .fileio import atomic_open
 from .labels import DialectLabel
 
 
@@ -143,7 +144,7 @@ def write_manifest(manifest: CorpusManifest, path) -> None:
         if r.segment is not None:
             fields += [repr(r.segment[0]), repr(r.segment[1])]
         lines.append("\t".join(fields))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines))
         if lines:
             fh.write("\n")
@@ -181,7 +182,7 @@ def read_audio(path) -> AudioSignal:
 def write_wav(path, signal: AudioSignal) -> None:
     """Write mono 16-bit PCM. Samples are clipped to the int16 range."""
     scaled = np.clip(np.rint(signal.samples * 32768.0), -32768, 32767)
-    with wave.open(str(path), "wb") as wf:
+    with atomic_open(path, "wb") as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(signal.sample_rate)

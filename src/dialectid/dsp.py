@@ -21,6 +21,7 @@ from .errors import (
     SignalTooShort,
     require_finite_fields,
 )
+from .fileio import atomic_open
 
 CANONICAL_SAMPLE_RATE = 16000
 
@@ -302,7 +303,7 @@ def write_features(path, features: np.ndarray) -> None:
     if not np.isfinite(f).all():
         raise ValueError("refusing to serialize non-finite features")
     header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *f.shape)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
 
@@ -318,6 +319,8 @@ def read_features(path) -> np.ndarray:
         raise FeatureFileError(f"{path}: bad magic {magic!r}")
     if version != FEATURE_VERSION:
         raise FeatureFileError(f"{path}: unsupported version {version}")
+    if num_frames < 1 or dim < 1:
+        raise FeatureFileError(f"{path}: empty feature matrix ({num_frames} x {dim})")
     expected = _FEATURE_HEADER.size + 8 * num_frames * dim
     if len(blob) != expected:
         raise FeatureFileError(
@@ -335,4 +338,5 @@ def write_features_csv(path, features: np.ndarray) -> None:
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("feature matrix must be a non-empty 2-D matrix")
-    np.savetxt(path, f, delimiter=",", fmt="%.17g")
+    with atomic_open(path) as fh:
+        np.savetxt(fh, f, delimiter=",", fmt="%.17g")

@@ -48,6 +48,13 @@ _MIN_VARIANCE = 1e-12
 # working memory is O(BLOCK_FRAMES * M) instead of O(frames * M).
 BLOCK_FRAMES = 4096
 
+# Log-joints more than this far below their frame's peak are flushed to exact
+# zero responsibilities instead of going through exp. Their exps would be
+# below e^-700 of a row sum that is at least 1, so the sums absorb them; but
+# exp takes a slow path for inputs below about -708, whose results are
+# subnormal or zero, and subnormal responsibilities slow the statistics GEMM.
+EXP_CUT = -700.0
+
 
 @dataclass(eq=False)
 class GmmModel:
@@ -155,15 +162,24 @@ def _block_posteriors(
     """Frame log-likelihoods of one block and the exps that give them.
 
     Returns (frame_ll (B,), post (B, M), row_sum (B,)) where post holds
-    exp(log_joint - row max) and post / row_sum are the responsibilities,
-    so a single exp over the block serves the likelihood and the E-step.
+    exp(log_joint - row max), zero below EXP_CUT, and post / row_sum are the
+    responsibilities, so a single exp over the block serves the likelihood
+    and the E-step. Every kept entry is exactly np.exp's value.
     """
     post = x2 @ proj.T
     post += const
     peak = post.max(axis=1)
     # All-(-inf) rows cannot occur: weights sum to one, so the max is finite.
     post -= peak[:, None]
-    np.exp(post, out=post)
+    # The flush's mask passes cost more than a fast exp, so a block with
+    # nothing below the cut skips them; both branches give the same numbers.
+    if post.min() < EXP_CUT:
+        keep = post >= EXP_CUT
+        np.maximum(post, EXP_CUT, out=post)
+        np.exp(post, out=post)
+        post *= keep
+    else:
+        np.exp(post, out=post)
     row_sum = post.sum(axis=1)
     return peak + np.log(row_sum), post, row_sum
 
@@ -438,40 +454,46 @@ def one_blas_thread():
         set_(saved)
 
 
-def fit_pair(
-    lt_frames: np.ndarray, ct_frames: np.ndarray, config: TrainConfig
-) -> tuple[tuple[GmmModel, list[float]], tuple[GmmModel, list[float]]]:
-    """em_fit of the LT and the CT frames: ((model, trace) of LT, of CT).
+def run_pair(lt_job, ct_job):
+    """(lt_job(), ct_job()) for two jobs that share nothing, LT then CT.
 
-    The fits share nothing, so with two usable CPUs CT is fitted on a second
-    thread while LT is fitted on the calling one. OpenBLAS is held at one
-    thread meanwhile, so the cores are not oversubscribed and the models are
-    those of a one-thread BLAS whatever OPENBLAS_NUM_THREADS says. With one
-    CPU the fits run in turn, still on one BLAS thread; without the OpenBLAS
-    setter they run in turn on the BLAS's own threads. An LT error is raised
-    before a CT error, as in sequential order.
+    With two usable CPUs the CT job runs on a second thread while the LT job
+    runs on the calling one. OpenBLAS is held at one thread meanwhile, so the
+    cores are not oversubscribed and results are those of a one-thread BLAS
+    whatever OPENBLAS_NUM_THREADS says. With one CPU the jobs run in turn,
+    still on one BLAS thread; without the OpenBLAS setter they run in turn on
+    the BLAS's own threads. An LT error is raised before a CT error, as in
+    sequential order.
     """
     with one_blas_thread() as pinned:
         if not pinned or len(os.sched_getaffinity(0)) < 2:
-            return em_fit(lt_frames, config), em_fit(ct_frames, config)
+            return lt_job(), ct_job()
         ct_outcome: list = []
 
-        def fit_ct():
+        def run_ct():
             try:
-                ct_outcome.append(em_fit(ct_frames, config))
+                ct_outcome.append(ct_job())
             except Exception as exc:
                 ct_outcome.append(exc)
 
-        worker = threading.Thread(target=fit_ct, name="dialectid-fit-ct")
+        worker = threading.Thread(target=run_ct, name="dialectid-ct")
         worker.start()
         try:
-            lt = em_fit(lt_frames, config)
+            lt = lt_job()
         finally:
             worker.join()
         (ct,) = ct_outcome
         if isinstance(ct, Exception):
             raise ct
         return lt, ct
+
+
+def fit_pair(
+    lt_frames: np.ndarray, ct_frames: np.ndarray, config: TrainConfig
+) -> tuple[tuple[GmmModel, list[float]], tuple[GmmModel, list[float]]]:
+    """em_fit of the LT and the CT frames: ((model, trace) of LT, of CT),
+    fitted concurrently by run_pair."""
+    return run_pair(lambda: em_fit(lt_frames, config), lambda: em_fit(ct_frames, config))
 
 
 def save_model(model: GmmModel, path) -> None:

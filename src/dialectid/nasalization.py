@@ -77,7 +77,9 @@ class FramePeak:
 class NasalizationReport:
     """Per-frame low-band peaks plus segment-level summaries.
 
-    frame_peaks holds one entry per analyzable (non-degenerate) frame.
+    frame_peaks holds one entry per analyzable frame. Of the num_frames
+    frames, num_degenerate (zero energy) and num_unstable (the LP recursion
+    broke down) were skipped and the other num_analyzed analyzed.
     Medians cover all analyzed frames' band maxima; detection_fraction is
     the share of analyzed frames whose peak passed the prominence gate.
     Medians are None when nothing could be analyzed.
@@ -86,6 +88,8 @@ class NasalizationReport:
     frame_peaks: list[FramePeak]
     num_frames: int
     num_analyzed: int
+    num_degenerate: int
+    num_unstable: int
     median_peak_hz: float | None
     median_peak_db: float | None
     detection_fraction: float
@@ -249,9 +253,11 @@ def _median(values: np.ndarray) -> float:
 
 def _lp_analysis(
     signal: AudioSignal, config: NasalConfig
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(frame count, indices of analyzable frames, their LP spectra in dB).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frames per LP status, indices of analyzable frames, their LP spectra
+    in dB).
 
+    The counts are indexed by LP_OK, LP_DEGENERATE and LP_UNSTABLE.
     Degenerate and unstable frames are left out; the indices keep their
     place in the original frame sequence.
     """
@@ -261,7 +267,8 @@ def _lp_analysis(
     r = _autocorrelations(frames, config.lpc_order)
     coefficients, gains, status = _levinson_batch(r, config.lpc_order)
     ok = np.flatnonzero(status == LP_OK)
-    return frames.shape[0], ok, _lp_spectra_db(coefficients[ok], gains[ok], config.fft_size)
+    by_status = np.bincount(status, minlength=LP_UNSTABLE + 1)
+    return by_status, ok, _lp_spectra_db(coefficients[ok], gains[ok], config.fft_size)
 
 
 def segment_lp_spectra(
@@ -281,9 +288,11 @@ def segment_lp_spectra(
 def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> NasalizationReport:
     """Frame-by-frame low-band peak analysis of one segment."""
     config = config or NasalConfig()
-    num_frames, indices, spectra = _lp_analysis(signal, config)
+    by_status, indices, spectra = _lp_analysis(signal, config)
+    num_frames = int(by_status.sum())
+    degenerate, unstable = by_status[[LP_DEGENERATE, LP_UNSTABLE]].tolist()
     if indices.size == 0:
-        return NasalizationReport([], num_frames, 0, None, None, 0.0)
+        return NasalizationReport([], num_frames, 0, degenerate, unstable, None, None, 0.0)
     rate = signal.sample_rate
     try:
         bins, hits = _band_peaks(spectra, config.fft_size, rate, config)
@@ -302,6 +311,8 @@ def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> N
         frame_peaks,
         num_frames,
         len(frame_peaks),
+        degenerate,
+        unstable,
         _median(peak_hz),
         _median(peak_db),
         int(hits.sum()) / len(frame_peaks),

@@ -23,6 +23,7 @@ from scipy.signal import lfilter
 
 from .corpus import CorpusManifest, Gender, Split, UtteranceRecord, write_manifest, write_wav
 from .dsp import CANONICAL_SAMPLE_RATE, AudioSignal
+from .fileio import atomic_open
 from .labels import DialectLabel
 
 GROUND_TRUTH_NAME = "ground_truth.json"
@@ -167,7 +168,7 @@ def generate_synthetic_corpus(
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     write_manifest(manifest, manifest_path)
     gt_path = os.path.join(out_dir, GROUND_TRUTH_NAME)
-    with open(gt_path, "w", encoding="utf-8") as fh:
+    with atomic_open(gt_path) as fh:
         json.dump(declared, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return SynthResult(out_dir, manifest_path, gt_path, manifest, declared)

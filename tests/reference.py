@@ -199,6 +199,23 @@ def em_iteration_ref(data, weights, means, variances):
     return frame_ll, resp.T, occupancy, first, second
 
 
+def block_posteriors_plain_exp(x2, proj, const):
+    """One block of the package's one-GEMM E-step kernel with a plain np.exp
+    over every log-joint, however far below its frame's peak; x2 = [x^2, x]
+    per frame, (proj, const) the kernel's projection and constant.
+
+    Returns (frame_ll (B,), post (B, M), row_sum (B,)), post holding
+    exp(log_joint - row max).
+    """
+    post = x2 @ proj.T
+    post += const
+    peak = post.max(axis=1)
+    post -= peak[:, None]
+    np.exp(post, out=post)
+    row_sum = post.sum(axis=1)
+    return peak + np.log(row_sum), post, row_sum
+
+
 def autocorr_ref(x, max_lag):
     n = len(x)
     return np.array(

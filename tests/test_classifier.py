@@ -1,10 +1,12 @@
 """Classifier tests: metrics arithmetic, training, decisions, sweep, bundles."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from dialectid.classifier import (
     sweep_mixtures,
     train_bundle,
 )
-from dialectid.corpus import CorpusManifest, Split, load_manifest, read_audio
+from dialectid.cli import run
+from dialectid.corpus import CorpusManifest, Split, load_manifest, read_audio, write_manifest
 from dialectid.dsp import MfccConfig, extract_features
 from dialectid.errors import (
     DialectIdError,
@@ -401,6 +404,56 @@ class TestBundlePersistence:
             save_bundle(other, out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_descriptor_holds_each_model_files_sha256(self, tmp_path, bundle_m1):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        blob = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
+        for key in ("lt_model", "ct_model"):
+            digest = hashlib.sha256((out / blob[key]).read_bytes()).hexdigest()
+            assert blob[f"{key}_sha256"] == digest
+
+    def test_bundle_without_digests_still_loads(self, tmp_path, bundle_m1):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        desc = out / "bundle.json"
+        blob = json.loads(desc.read_text(encoding="utf-8"))
+        del blob["lt_model_sha256"], blob["ct_model_sha256"]
+        desc.write_text(json.dumps(blob), encoding="utf-8")
+        back = load_bundle(out)
+        assert np.array_equal(back.lt_model.means, bundle_m1.lt_model.means)
+        assert np.array_equal(back.ct_model.means, bundle_m1.ct_model.means)
+
+    def test_model_left_from_a_failed_save_is_refused(
+        self, tmp_path, tiny_corpus, bundle_m1, monkeypatch, capsys
+    ):
+        # Re-saving with the models swapped: the second os.replace (ct.gmm)
+        # fails, leaving the new lt.gmm beside the old ct.gmm and old
+        # descriptor. The sizes agree, so only the digests can tell.
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        swapped = ClassifierBundle(
+            bundle_m1.ct_model, bundle_m1.lt_model, MfccConfig(), bundle_m1.train_config
+        )
+        real_replace = os.replace
+        calls = []
+
+        def second_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("replace refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        with pytest.raises(OSError, match="replace refused"):
+            save_bundle(swapped, out)
+        monkeypatch.setattr(os, "replace", real_replace)
+        with pytest.raises(DialectIdError, match="lt.gmm: SHA-256 does not match"):
+            load_bundle(out)
+        wav = tiny_corpus.manifest.records[0].audio_path
+        capsys.readouterr()
+        assert run(["classify", "--bundle", str(out), "--audio", wav]) == 1
+        assert "SHA-256" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def long_corpus(tmp_path_factory):
@@ -490,3 +543,114 @@ class TestTrainingThreads:
             assert get() == 2
         finally:
             set_(saved)
+
+
+def run_mode(monkeypatch, mode):
+    """Make run_pair use two threads ("threads"), run in turn on one CPU
+    ("one-cpu") or run in turn without the OpenBLAS setter ("no-setter").
+    Returns the list that collects the names of started worker threads."""
+    if mode == "threads":
+        if gmm._openblas_thread_functions() is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+        monkeypatch.setattr(gmm.os, "sched_getaffinity", lambda pid: {0, 1})
+    elif mode == "one-cpu":
+        monkeypatch.setattr(gmm.os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(gmm, "_openblas_thread_functions", lambda: None)
+    started = []
+    real_thread = threading.Thread
+
+    def counted(*args, **kwargs):
+        started.append(kwargs.get("name"))
+        return real_thread(*args, **kwargs)
+
+    monkeypatch.setattr(gmm.threading, "Thread", counted)
+    return started
+
+
+MODES = ["threads", "one-cpu", "no-setter"]
+
+
+@pytest.fixture(scope="module")
+def relabeled_manifest_path(tiny_corpus, tmp_path_factory):
+    """tiny_corpus with three test labels flipped, so sweep accuracies are
+    below 1 and depend on every score."""
+    flip = {DialectLabel.LT: DialectLabel.CT, DialectLabel.CT: DialectLabel.LT}
+    test = tiny_corpus.manifest.subset(split=Split.TEST)
+    manifest = CorpusManifest(
+        tiny_corpus.manifest.subset(split=Split.TRAIN)
+        + [dataclasses.replace(r, dialect=flip[r.dialect]) for r in test[:3]]
+        + test[3:]
+    )
+    path = tmp_path_factory.mktemp("relabeled") / "manifest.tsv"
+    write_manifest(manifest, path)
+    return str(path)
+
+
+def with_bad_records(manifest, tmp_path, picks):
+    """manifest whose (dialect, split, k)-th records point at unreadable files."""
+    records = list(manifest.records)
+    for dialect, split, k in picks:
+        rec = manifest.subset(dialect, split)[k]
+        bad = tmp_path / f"bad-{dialect.value}-{split.value}-{k}.wav"
+        bad.write_bytes(b"not a wav file")
+        records[records.index(rec)] = dataclasses.replace(rec, audio_path=str(bad))
+    return CorpusManifest(records)
+
+
+LT, CT, TRAIN, TEST = DialectLabel.LT, DialectLabel.CT, Split.TRAIN, Split.TEST
+
+
+class TestStagesOnTwoThreads:
+    def test_sweep_records_identical_in_every_mode(
+        self, relabeled_manifest_path, tmp_path, monkeypatch, capsys
+    ):
+        outputs = {}
+        for mode in MODES:
+            with monkeypatch.context() as patch:
+                started = run_mode(patch, mode)
+                out = tmp_path / f"{mode}.jsonl"
+                argv = ["sweep", "--manifest", relabeled_manifest_path, "--components",
+                        "1,2,4,5000", "--seed", "3", "--format", "records", "--output", str(out)]
+                assert run(argv) == 0
+            assert bool(started) == (mode == "threads")
+            outputs[mode] = [
+                {k: v for k, v in json.loads(line).items() if k != "seconds"}
+                for line in out.read_text(encoding="utf-8").splitlines()
+            ]
+        rows = outputs["threads"]
+        assert [r["num_components"] for r in rows] == [1, 2, 4, 5000]
+        assert any(0.0 < (r["accuracy"] or 0.0) < 1.0 for r in rows)
+        assert rows[-1]["error"] is not None
+        assert outputs["one-cpu"] == rows and outputs["no-setter"] == rows
+
+    @pytest.mark.parametrize(
+        "picks, culprit",
+        [
+            ([(CT, TRAIN, 5), (LT, TRAIN, 6)], (LT, TRAIN, 6)),
+            ([(CT, TRAIN, 5)], (CT, TRAIN, 5)),
+            ([(CT, TEST, 1), (LT, TEST, 3)], (LT, TEST, 3)),
+            ([(CT, TEST, 4)], (CT, TEST, 4)),
+            ([(LT, TEST, 0), (CT, TRAIN, 0)], (CT, TRAIN, 0)),
+        ],
+    )
+    def test_first_bad_record_in_sequential_order_is_reported(
+        self, tiny_corpus, tmp_path, monkeypatch, picks, culprit
+    ):
+        manifest = with_bad_records(tiny_corpus.manifest, tmp_path, picks)
+        dialect, split, k = culprit
+        want = f"bad-{dialect.value}-{split.value}-{k}.wav"
+        handles = gmm._openblas_thread_functions()
+        saved = handles[0]() if handles else None
+        calls = [lambda: sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1])]
+        if split is TRAIN:
+            calls.append(lambda: train_bundle(manifest, MfccConfig(), TrainConfig(1)))
+        for mode in MODES:
+            with monkeypatch.context() as patch:
+                run_mode(patch, mode)
+                for call in calls:
+                    with pytest.raises(DialectIdError) as caught:
+                        call()
+                    assert os.path.basename(str(caught.value).split(":")[0]) == want, mode
+            if handles:
+                assert handles[0]() == saved

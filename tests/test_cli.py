@@ -491,6 +491,19 @@ class TestNasal:
         summary = records_from(rec)[-1]
         # 0.5 s at a 10 ms hop and 20 ms window: (8000 - 320) // 160 + 1.
         assert summary["num_frames"] == 49
+        assert summary["num_analyzed"] == 49
+        assert (summary["num_degenerate"], summary["num_unstable"]) == (0, 0)
+
+    def test_skip_causes_in_summary_record(self, tmp_path):
+        path = tmp_path / "half-silent.wav"
+        samples = np.zeros(8000)
+        samples[4000:] = np.sin(np.arange(4000) * 0.1) * 0.3
+        write_wav(path, AudioSignal(samples, SR))
+        rec = tmp_path / "nasal.jsonl"
+        assert run(["nasal", "--audio", str(path), "--format", "records", "--output", str(rec)]) == 0
+        summary = records_from(rec)[-1]
+        assert summary["num_degenerate"] >= 20 and summary["num_unstable"] == 0
+        assert summary["num_degenerate"] + summary["num_analyzed"] == summary["num_frames"]
 
     def test_bad_bounds_are_a_data_error(self, vowel_wav, capsys):
         assert run(["nasal", "--audio", vowel_wav, "--start", "5.0"]) == 1

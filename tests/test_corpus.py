@@ -1,6 +1,7 @@
 """Manifest parsing, WAV I/O, split validation, corpus statistics."""
 
 import json
+import os
 import wave
 
 import numpy as np
@@ -22,7 +23,7 @@ from dialectid.corpus import (
     write_manifest,
     write_wav,
 )
-from dialectid.dsp import AudioSignal
+from dialectid.dsp import AudioSignal, write_features, write_features_csv
 from dialectid.errors import AudioFormatError, ManifestError, SampleRateMismatch
 from dialectid.labels import DialectLabel
 from dialectid.synth import generate_synthetic_corpus
@@ -349,3 +350,52 @@ class TestSynthGenerator:
         ct = [centroid(r.audio_path) for r in tiny_corpus.manifest.subset(DialectLabel.CT)[:3]]
         assert max(lt) < 1500.0
         assert min(ct) > 2000.0
+
+
+def synth_ground_truth(path, seed):
+    """generate_synthetic_corpus into path's directory; its ground truth
+    lands at path."""
+    generate_synthetic_corpus(
+        str(path.parent), seed=seed, train_per_class=1, test_per_class=1,
+        utterance_seconds=0.05, utterances_per_speaker=1,
+    )
+
+
+# name -> (file name, writer(path, variant)); variants 0 and 1 differ.
+WRITERS = {
+    "write_features": ("f.mfc", lambda p, v: write_features(p, np.full((3, 4), v + 0.5))),
+    "write_features_csv": ("f.csv", lambda p, v: write_features_csv(p, np.full((3, 4), v + 0.5))),
+    "write_manifest": (
+        "m.tsv", lambda p, v: write_manifest(CorpusManifest([rec(f"/a/{v}.wav")]), p)
+    ),
+    "write_wav": ("a.wav", lambda p, v: write_wav(p, AudioSignal(np.full(80, v / 4.0), 16000))),
+    "synth ground truth": ("ground_truth.json", lambda p, v: synth_ground_truth(p, v)),
+}
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_failed_replace_keeps_old_bytes_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch, name
+    ):
+        file_name, write = WRITERS[name]
+        path = tmp_path / file_name
+        write(path, 0)
+        before = path.read_bytes()
+        listing = sorted(os.listdir(tmp_path))
+        real_replace = os.replace
+
+        def refuse_target(src, dst):
+            # Other files (the synth corpus's WAVs and manifest) are replaced.
+            if os.path.basename(dst) == file_name:
+                raise OSError("replace refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_target)
+        with pytest.raises(OSError, match="replace refused"):
+            write(path, 1)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+        monkeypatch.setattr(os, "replace", real_replace)
+        write(path, 1)
+        assert path.read_bytes() != before

@@ -2,11 +2,14 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dialectid
 import reference
@@ -31,7 +34,7 @@ from dialectid.dsp import (
     write_features,
     write_features_csv,
 )
-from dialectid.errors import FeatureFileError, SampleRateMismatch, SignalTooShort
+from dialectid.errors import DialectIdError, FeatureFileError, SampleRateMismatch, SignalTooShort
 
 SR = CANONICAL_SAMPLE_RATE
 
@@ -339,6 +342,46 @@ class TestFeatureFiles:
         path.write_bytes(bytes(blob))
         with pytest.raises(FeatureFileError):
             read_features(path)
+
+    @pytest.mark.parametrize("shape", [(0, 39), (0, 0), (5, 0)])
+    def test_empty_matrix_rejected(self, tmp_path, shape):
+        # write_features refuses these shapes, so no file of them is valid.
+        path = tmp_path / "f.mfc"
+        path.write_bytes(struct.pack("<4sIII", b"MFCC", 1, *shape))
+        with pytest.raises(FeatureFileError, match="empty"):
+            read_features(path)
+
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        blob=st.binary(max_size=80)
+        | st.builds(
+            lambda version, frames, dim, tail: struct.pack("<4sIII", b"MFCC", version, frames, dim)
+            + tail,
+            st.sampled_from([1, 1, 2]),
+            st.integers(0, 3) | st.integers(0, 2**32 - 1),
+            st.integers(0, 3) | st.integers(0, 2**32 - 1),
+            st.lists(st.floats(width=64), max_size=12).map(
+                lambda xs: struct.pack(f"<{len(xs)}d", *xs)
+            )
+            | st.binary(max_size=64),
+        )
+    )
+    def test_any_bytes_parse_or_raise_a_domain_error(self, tmp_path, blob):
+        path = tmp_path / "f.mfc"
+        path.write_bytes(blob)
+        try:
+            feats = read_features(path)
+        except DialectIdError:
+            return
+        assert feats.ndim == 2 and min(feats.shape) >= 1
+        assert np.isfinite(feats).all()
+        write_features(tmp_path / "again.mfc", feats)
+        assert (tmp_path / "again.mfc").read_bytes() == blob
 
     def test_csv_round_trips_at_full_precision(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -6,10 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference
 from dialectid import gmm
 from dialectid.errors import (
+    DialectIdError,
     FewerFramesThanComponents,
     ModelFileError,
     ModelInvariantError,
@@ -17,6 +20,7 @@ from dialectid.errors import (
 )
 from dialectid.gmm import (
     BLOCK_FRAMES,
+    EXP_CUT,
     GmmModel,
     TrainConfig,
     em_fit,
@@ -345,6 +349,76 @@ class TestBatchedKernelsAgainstReferences:
         assert abs(got - want) <= 1e-9 * abs(want)
 
 
+class TestExpFlush:
+    """_block_posteriors flushes log-joints below EXP_CUT to zero instead of
+    exponentiating them; reference.block_posteriors_plain_exp does not."""
+
+    def deep_block(self):
+        # Far-apart narrow components, one with zero weight, so each frame's
+        # log-joints span the kept range, exp's subnormal range (-745, -708)
+        # and beyond.
+        rng = np.random.default_rng(50)
+        m, dim = 64, 6
+        weights = rng.uniform(0.1, 1.0, m)
+        weights[5] = 0.0
+        weights /= weights.sum()
+        means = rng.uniform(-12.0, 12.0, (m, dim))
+        variances = rng.uniform(0.3, 1.0, (m, dim))
+        frames = means[rng.integers(0, m, 3000)] + rng.standard_normal((3000, dim))
+        proj, const = gmm._kernel(weights, means, variances)
+        x2 = gmm._squares_and_frames(frames)
+        log_joint = x2 @ proj.T + const
+        log_joint -= log_joint.max(axis=1)[:, None]
+        return x2, proj, const, log_joint
+
+    def test_block_matches_plain_exp_above_the_cut_and_is_zero_below(self):
+        x2, proj, const, log_joint = self.deep_block()
+        finite = log_joint[np.isfinite(log_joint)]
+        assert finite.min() < -800.0
+        assert ((finite > -745.0) & (finite < -708.0)).any()
+        assert ((finite >= EXP_CUT) & (finite < -600.0)).any()
+        frame_ll, post, row_sum = gmm._block_posteriors(x2, proj, const)
+        want_ll, want_post, want_sum = reference.block_posteriors_plain_exp(x2, proj, const)
+        keep = log_joint >= EXP_CUT
+        assert np.array_equal(frame_ll, want_ll)
+        assert np.array_equal(row_sum, want_sum)
+        assert np.array_equal(post[keep], want_post[keep])
+        assert not post[~keep].any()
+        assert not np.signbit(post).any()
+
+    def test_block_with_nothing_below_the_cut_is_plain_exp(self):
+        rng = np.random.default_rng(52)
+        model = random_model(rng, 16, 5)
+        proj, const = gmm._kernel(model.weights, model.means, model.variances)
+        x2 = gmm._squares_and_frames(rng.standard_normal((500, 5)))
+        got = gmm._block_posteriors(x2, proj, const)
+        want = reference.block_posteriors_plain_exp(x2, proj, const)
+        assert want[1].min() > math.exp(EXP_CUT)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_em_fit_at_m256_is_bit_identical_with_either_kernel(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        data = blob_frames(rng, BLOCK_FRAMES + 400, 256, spread=4.0)
+        config = TrainConfig(num_components=256, max_em_iterations=4, kmeans_max_iterations=4)
+        flushed = []
+        flush_kernel = gmm._block_posteriors
+
+        def counting(x2, proj, const):
+            out = flush_kernel(x2, proj, const)
+            plain = reference.block_posteriors_plain_exp(x2, proj, const)[1]
+            flushed.append(int(((out[1] == 0.0) & (plain != 0.0)).sum()))
+            return out
+
+        with gmm.one_blas_thread():
+            monkeypatch.setattr(gmm, "_block_posteriors", counting)
+            got = em_fit(data, config)
+            monkeypatch.setattr(gmm, "_block_posteriors", reference.block_posteriors_plain_exp)
+            want = em_fit(data, config)
+        assert len(flushed) == 2 * len(got[1]) and sum(flushed) > 0
+        assert_same_fit(got, want)
+
+
 class TestEmFitMemory:
     def test_peak_stays_below_one_frames_by_components_array(self):
         # The E-step and the k-means assignment work in frame blocks, so
@@ -438,3 +512,62 @@ class TestPersistence:
         model = GmmModel([0.9, 0.3], [[0.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(ModelInvariantError):
             save_model(model, tmp_path / "m.gmm")
+
+
+def valid_model_blob():
+    model = GmmModel([0.25, 0.75], [[0.0, 1.0], [2.0, -1.0]], [[1.0, 0.5], [2.0, 1.0]])
+    header = struct.pack("<4sIII", b"GMM1", 1, 2, 2)
+    return header + np.concatenate(
+        [model.weights, model.means.ravel(), model.variances.ravel()]
+    ).astype("<f8").tobytes()
+
+
+def header_and_payload(magic):
+    """Byte strings built like a container: magic, version, two counts and
+    a payload of float64s, with fields that are often near valid."""
+    count = st.integers(0, 3) | st.integers(0, 2**32 - 1)
+    floats = st.lists(st.floats(width=64), max_size=24)
+    payload = floats.map(lambda xs: struct.pack(f"<{len(xs)}d", *xs)) | st.binary(max_size=64)
+    return st.builds(
+        lambda version, a, b, tail: struct.pack("<4sIII", magic, version, a, b) + tail,
+        st.sampled_from([1, 1, 2]),
+        count,
+        count,
+        payload,
+    )
+
+
+def mutations(blob):
+    """blob with a few bytes replaced, then possibly cut short."""
+    edits = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=3)
+
+    def apply(pairs, cut):
+        out = bytearray(blob)
+        for i, b in pairs:
+            out[i] = b
+        return bytes(out[:cut])
+
+    return st.builds(apply, edits, st.integers(0, len(blob)))
+
+
+class TestLoadModelFuzz:
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        blob=st.binary(max_size=80)
+        | header_and_payload(b"GMM1")
+        | mutations(valid_model_blob())
+    )
+    def test_any_bytes_parse_or_raise_a_domain_error(self, tmp_path, blob):
+        path = tmp_path / "m.gmm"
+        path.write_bytes(blob)
+        try:
+            model = load_model(path)
+        except DialectIdError:
+            return
+        model.validate()
+        assert model.num_components >= 1 and model.dim >= 1

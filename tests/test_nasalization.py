@@ -9,6 +9,7 @@ import pytest
 from scipy.signal import lfilter
 
 import reference
+from dialectid import nasalization
 from dialectid.dsp import AudioSignal
 from dialectid.errors import (
     DegenerateFrame,
@@ -224,10 +225,32 @@ class TestAnalyzeSegment:
         report = analyze_segment(AudioSignal(np.zeros(8000), SR))
         assert report.num_frames == 49
         assert report.num_analyzed == 0
+        assert (report.num_degenerate, report.num_unstable) == (49, 0)
         assert report.frame_peaks == []
         assert report.median_peak_hz is None
         assert report.median_peak_db is None
         assert report.detection_fraction == 0.0
+
+    def test_skipped_frames_are_counted_by_cause(self, monkeypatch):
+        samples = vowel(seed=5, num_samples=SR // 2).samples.copy()
+        samples[2000:4400] = 0.0  # digital silence: degenerate frames
+        cfg = NasalConfig()
+        frames = reference.frame_ref(samples, cfg.frame_samples(SR), cfg.hop_samples(SR))
+        silent = sum(not frame.any() for frame in frames)
+        assert silent >= 5 and frames[3].any() and frames[40].any()
+        real_levinson = nasalization._levinson_batch
+
+        def two_unstable(r, order):
+            a, error, status = real_levinson(r, order)
+            status[[3, 40]] = LP_UNSTABLE
+            return a, error, status
+
+        monkeypatch.setattr(nasalization, "_levinson_batch", two_unstable)
+        report = analyze_segment(AudioSignal(samples, SR), cfg)
+        assert report.num_frames == len(frames)
+        assert (report.num_degenerate, report.num_unstable) == (silent, 2)
+        assert report.num_analyzed == len(frames) - silent - 2
+        assert not {3, 40} & {fp.frame_index for fp in report.frame_peaks}
 
     def test_amplitude_invariance(self):
         sig = vowel(seed=3, num_samples=SR // 2)
@@ -286,7 +309,7 @@ class TestSpectrumDump:
 
 
 def report_with_median(db):
-    return NasalizationReport([], 10, 10, 250.0, db, 1.0)
+    return NasalizationReport([], 10, 10, 0, 0, 250.0, db, 1.0)
 
 
 class TestDegreeComparison:
