@@ -23,8 +23,11 @@ from .fileio import atomic_open
 from .gmm import (
     GmmModel,
     TrainConfig,
+    em_fit,
+    farthest_first,
     fit_pair,
     load_model,
+    log_likelihood_segments,
     log_likelihood_sequence,
     one_blas_thread,
     run_pair,
@@ -99,9 +102,15 @@ class EvalReport:
 
 @dataclass
 class SweepRow:
+    """One sweep row. The wall-clock times are each the larger of the two
+    dialects' values: seconds of fit plus scoring, train_seconds of the fit
+    and score_seconds of the scoring."""
+
     num_components: int
     accuracy: float | None
     seconds: float
+    train_seconds: float
+    score_seconds: float
     error: str | None = None
 
 
@@ -238,6 +247,34 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
     return _score(decided)
 
 
+def _sweep_side(
+    frames: np.ndarray,
+    base_config: TrainConfig,
+    counts: list[int],
+    test_frames: np.ndarray,
+    ends: list[int],
+) -> list[tuple]:
+    """One dialect's side of the sweep: per count, in order, (the test
+    utterances' log-likelihoods or the exception the row raised, fit
+    seconds, scoring seconds). The farthest-first seeds are computed once,
+    before the rows and outside their times, for the largest count the
+    frames allow; every row fits from a prefix of them."""
+    largest = max((c for c in counts if c <= frames.shape[0]), default=0)
+    order = farthest_first(frames, largest, base_config.rng_seed) if largest else None
+    outcomes = []
+    for count in counts:
+        start = time.perf_counter()
+        try:
+            model, _ = em_fit(frames, replace(base_config, num_components=count), order)
+            fitted = time.perf_counter()
+            scores = log_likelihood_segments(model, test_frames, ends)
+        except Exception as exc:
+            outcomes.append((exc, time.perf_counter() - start, 0.0))
+            continue
+        outcomes.append((scores, fitted - start, time.perf_counter() - fitted))
+    return outcomes
+
+
 def sweep_mixtures(
     train_manifest: CorpusManifest,
     test_manifest: CorpusManifest,
@@ -249,10 +286,13 @@ def sweep_mixtures(
 
     Features are extracted once and shared across rows. A row that fails
     (for example, fewer frames than components) is recorded with its error
-    message and the sweep moves on. OpenBLAS runs on one thread for the
-    whole sweep (see train_bundle), and every stage runs on two threads
-    through run_pair: the LT and CT training extraction, the two halves of
-    the test extraction, and each row's fits and its LT and CT scoring.
+    message, LT's before CT's, and the sweep moves on; any other exception
+    is raised as in sequential order, earliest row first and LT before CT.
+    OpenBLAS runs on one thread for the whole sweep (see train_bundle).
+    Extraction runs on two threads through run_pair, the LT and CT training
+    frames and then the two halves of the test set; then each dialect runs
+    all its rows on its own thread (_sweep_side), without waiting for the
+    other.
     """
     counts = list(component_counts)
     if not counts:
@@ -270,26 +310,29 @@ def sweep_mixtures(
             lambda: [_record_features(rec, feature_config) for rec in records[:half]],
             lambda: [_record_features(rec, feature_config) for rec in records[half:]],
         )
-        test_features = first + second
+        ends = np.cumsum([f.shape[0] for f in first + second]).tolist()
+        test_frames = np.vstack(first + second)
+        del first, second
+        lt_side, ct_side = run_pair(
+            lambda: _sweep_side(lt_frames, base_train_config, counts, test_frames, ends),
+            lambda: _sweep_side(ct_frames, base_train_config, counts, test_frames, ends),
+        )
 
-        rows = []
-        for count in counts:
-            start = time.perf_counter()
-            try:
-                config = replace(base_train_config, num_components=count)
-                (lt_model, _), (ct_model, _) = fit_pair(lt_frames, ct_frames, config)
-                lt_scores, ct_scores = run_pair(
-                    lambda: [log_likelihood_sequence(lt_model, f) for f in test_features],
-                    lambda: [log_likelihood_sequence(ct_model, f) for f in test_features],
-                )
-                decided = (
-                    (rec, _decision(lt, ct))
-                    for rec, lt, ct in zip(records, lt_scores, ct_scores)
-                )
-                accuracy = _score(decided).accuracy
-                rows.append(SweepRow(count, accuracy, time.perf_counter() - start))
-            except DialectIdError as exc:
-                rows.append(SweepRow(count, None, time.perf_counter() - start, str(exc)))
+    rows = []
+    for count, (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) in zip(counts, lt_side, ct_side):
+        times = (
+            max(lt_fit + lt_score, ct_fit + ct_score),
+            max(lt_fit, ct_fit),
+            max(lt_score, ct_score),
+        )
+        error = lt if isinstance(lt, Exception) else ct if isinstance(ct, Exception) else None
+        if error is None:
+            decided = zip(records, map(_decision, lt, ct))
+            rows.append(SweepRow(count, _score(decided).accuracy, *times))
+        elif isinstance(error, DialectIdError):
+            rows.append(SweepRow(count, None, *times, str(error)))
+        else:
+            raise error
     return rows
 
 
@@ -332,17 +375,20 @@ def _load_member(directory, descriptor: dict, key: str, path) -> GmmModel:
     """The model named in the descriptor; the name must be a plain file name
     inside the bundle directory, and the file must match its recorded
     SHA-256 when the descriptor has one (bundles saved before digests were
-    recorded have none)."""
+    recorded have none). A member that cannot be read is a bundle error."""
     name = descriptor.get(key)
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise DialectIdError(f"{path}: {key} must be a file name inside the bundle, got {name!r}")
     member = os.path.join(directory, name)
     digest = descriptor.get(f"{key}_sha256")
-    if digest is not None and digest != _sha256(member):
-        raise DialectIdError(
-            f"{member}: SHA-256 does not match {path}; the bundle mixes files of two saves"
-        )
-    return load_model(member)
+    try:
+        if digest is not None and digest != _sha256(member):
+            raise DialectIdError(
+                f"{member}: SHA-256 does not match {path}; the bundle mixes files of two saves"
+            )
+        return load_model(member)
+    except OSError as exc:
+        raise DialectIdError(f"{path}: cannot read its {key} {name!r} ({exc})") from None
 
 
 def load_bundle(directory) -> ClassifierBundle:

@@ -16,7 +16,7 @@ Exit codes: 0 success, 1 data error (bad audio, bad manifest, corrupt
 model, failed validation), 2 usage error. Reports go to stdout or --output,
 as plain text or line-delimited JSON records (--format records). Identical
 argv + input files + seed reproduce identical outputs byte for byte, except
-for the wall-clock seconds column in sweep reports.
+for the wall-clock times in sweep reports.
 """
 
 from __future__ import annotations
@@ -547,7 +547,9 @@ def run(argv=None) -> int:
     try:
         kv = _load_config(args.config) if args.config else {}
         return args.func(args, kv)
-    except (DialectIdError, OSError) as exc:
+    except (DialectIdError, OSError, MemoryError) as exc:
+        # MemoryError: an input or config that asks for more memory than
+        # the machine has is a data error too.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -156,7 +156,9 @@ def read_audio(path) -> AudioSignal:
         wf = wave.open(str(path), "rb")
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable PCM WAV file ({exc})") from None
-    except EOFError:
+    except (EOFError, RuntimeError):
+        # The wave module raises RuntimeError for a chunk that claims more
+        # bytes than the file holds.
         raise AudioFormatError(f"{path}: truncated WAV file") from None
     with wf:
         if wf.getcomptype() != "NONE":
@@ -175,6 +177,8 @@ def read_audio(path) -> AudioSignal:
                 f"{path}: {rate} Hz, require {CANONICAL_SAMPLE_RATE} Hz (no resampling)"
             )
         raw = wf.readframes(wf.getnframes())
+    if len(raw) % 2:
+        raise AudioFormatError(f"{path}: truncated WAV file (partial last sample)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioSignal(samples, rate)
 

@@ -101,6 +101,8 @@ class MfccConfig(Framing):
             raise ValueError("preemphasis_coeff must lie in [0, 1)")
         if self.num_mel_filters < 1:
             raise ValueError("need at least one mel filter")
+        if self.num_mel_filters > self.fft_size // 2 + 1:
+            raise ValueError("num_mel_filters exceeds the fft_size // 2 + 1 FFT bins")
         if not 1 <= self.num_cepstra <= self.num_mel_filters:
             raise ValueError("num_cepstra must be in [1, num_mel_filters]")
         if self.delta_window < 1:

@@ -4,12 +4,13 @@ Domain failures (bad audio, bad manifests, corrupt model files, degenerate
 analysis frames) get their own classes so callers can map them to exit codes
 or skip policies. Plain programming errors (dimension mismatches, invalid
 argument combinations) and invalid config values stay ValueError; every
-config dataclass first rejects NaN and infinite values with
-require_finite_fields.
+config dataclass first rejects values of the wrong kind and NaN and
+infinite values with require_finite_fields.
 """
 
 import dataclasses
 import math
+import numbers
 
 
 class DialectIdError(Exception):
@@ -77,8 +78,12 @@ class ConfigError(DialectIdError):
 
 
 def require_finite_fields(config) -> None:
-    """Raise ValueError if any float field of a config dataclass is NaN or infinite."""
+    """Raise ValueError unless each int field of a config dataclass holds an
+    integer and each float field a finite number (bools are neither)."""
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
+        kind = numbers.Integral if field.type in ("int", int) else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{field.name} must be {field.type}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{field.name} must be finite, got {value!r}")

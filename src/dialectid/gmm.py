@@ -65,9 +65,11 @@ class GmmModel:
     variances: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
+        # C order always: the row sums in _kernel follow the memory layout,
+        # so an F-ordered array from a caller would change their rounding.
+        self.weights = np.asarray(self.weights, dtype=np.float64, order="C")
+        self.means = np.asarray(self.means, dtype=np.float64, order="C")
+        self.variances = np.asarray(self.variances, dtype=np.float64, order="C")
         if self.weights.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         if self.means.ndim != 2 or self.variances.ndim != 2:
@@ -173,7 +175,11 @@ def _block_posteriors(
     post -= peak[:, None]
     # The flush's mask passes cost more than a fast exp, so a block with
     # nothing below the cut skips them; both branches give the same numbers.
-    if post.min() < EXP_CUT:
+    # A zero-weight component's column is all -inf, which exp maps to exact
+    # zeros on its fast path, so such columns do not count.
+    live = const > -np.inf
+    lowest = post.min() if live.all() else post.min(axis=0)[live].min()
+    if lowest < EXP_CUT:
         keep = post >= EXP_CUT
         np.maximum(post, EXP_CUT, out=post)
         np.exp(post, out=post)
@@ -193,12 +199,7 @@ def _frame_log_likelihoods(model: GmmModel, frames: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
-    """Total log-likelihood of a feature matrix: sum over frame densities.
-
-    Uses exact (fsum) accumulation over frames, so the value is independent
-    of how the frames are chunked.
-    """
+def _checked_features(model: GmmModel, features: np.ndarray) -> np.ndarray:
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -206,7 +207,26 @@ def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
         raise ValueError("empty feature matrix")
     if f.shape[1] != model.dim:
         raise ValueError(f"frame dim {f.shape[1]} != model dim {model.dim}")
-    return math.fsum(_frame_log_likelihoods(model, f))
+    return f
+
+
+def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
+    """Total log-likelihood of a feature matrix: sum over frame densities.
+
+    Uses exact (fsum) accumulation over frames, so the value is independent
+    of how the frames are chunked.
+    """
+    ll = _frame_log_likelihoods(model, _checked_features(model, features))
+    return math.fsum(ll.tolist())
+
+
+def log_likelihood_segments(model: GmmModel, frames: np.ndarray, ends) -> list[float]:
+    """log_likelihood_sequence of each segment of a stacked frame matrix,
+    segment i being frames[ends[i - 1]:ends[i]] (from 0), with the same
+    values. One blocked pass scores every frame, so short segments do not
+    each pay for a call."""
+    ll = _frame_log_likelihoods(model, _checked_features(model, frames)).tolist()
+    return [math.fsum(ll[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
 def _accumulate(
@@ -217,17 +237,23 @@ def _accumulate(
     Fills frame_ll (T,) and returns the occupancy (M,) and the
     [second-order, first-order] statistics (M, 2D), i.e. the sums over
     frames of resp and resp * [x^2, x], added block by block in frame order.
+    The statistics GEMM runs as block.T @ resp, a layout BLAS packs faster
+    than resp.T @ block. On one thread of OpenBLAS 0.3.31 (AVX-512 kernels)
+    its entries equal resp.T @ block's for M <= 192 and for M a multiple of
+    8; for other M they can differ in the last bit.
     """
     occupancy = np.zeros(proj.shape[0])
-    stats = np.zeros(proj.shape)
+    stats_t = np.zeros(proj.shape[::-1])
     for lo in range(0, x2.shape[0], BLOCK_FRAMES):
         block = x2[lo : lo + BLOCK_FRAMES]
         ll, post, row_sum = _block_posteriors(block, proj, const)
         frame_ll[lo : lo + block.shape[0]] = ll
         post /= row_sum[:, None]
         occupancy += post.sum(axis=0)
-        stats += post.T @ block
-    return occupancy, stats
+        stats_t += block.T @ post
+    # C order: the M-step's variances inherit this layout, and _kernel's row
+    # sums over them round by it.
+    return occupancy, np.ascontiguousarray(stats_t.T)
 
 
 def _check_training_data(data: np.ndarray, k: int) -> np.ndarray:
@@ -268,12 +294,13 @@ def _assign(
     so it is added only to the minimum. Ties go to the lowest index.
     """
     center_norms = (centers * centers).sum(axis=1)
+    # Scaling by -2 is exact, so folding it into the centers changes no bit.
+    scaled = -2.0 * centers
     t = data.shape[0]
     assignment = np.empty(t, dtype=np.intp)
     min_d2 = np.empty(t)
     for lo in range(0, t, BLOCK_FRAMES):
-        d2 = data[lo : lo + BLOCK_FRAMES] @ centers.T
-        d2 *= -2.0
+        d2 = data[lo : lo + BLOCK_FRAMES] @ scaled.T
         d2 += center_norms
         nearest = d2.argmin(axis=1)
         hi = lo + nearest.size
@@ -298,35 +325,53 @@ def _cluster_means(
     return sums / np.maximum(counts, 1)[:, None]
 
 
+def farthest_first(data: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Frame indices of k farthest-first seeds, shape (k,).
+
+    The first is a seeded random frame; each next one is the frame farthest
+    from all seeds so far, ties going to the lowest index. Each pick depends
+    only on the picks before it, so the order for k is a prefix of the order
+    for any larger k: one order serves every smaller count.
+    """
+    data = _check_training_data(data, k)
+    sq_norms = (data * data).sum(axis=1)
+    order = np.empty(k, dtype=np.intp)
+    order[0] = np.random.default_rng(seed).integers(data.shape[0])
+    min_d2 = _sq_dist_to(data, sq_norms, data[order[0]])
+    for j in range(1, k):
+        order[j] = np.argmax(min_d2)
+        np.minimum(min_d2, _sq_dist_to(data, sq_norms, data[order[j]]), out=min_d2)
+    return order
+
+
 def kmeans_init(
     data: np.ndarray,
     k: int,
     seed: int,
     max_iterations: int = TrainConfig.kmeans_max_iterations,
     variance_floor_factor: float = TrainConfig.variance_floor_factor,
+    order: np.ndarray | None = None,
 ) -> GmmModel:
     """Seeded k-means initialization for EM.
 
-    The first center is a seeded random frame; the rest are chosen
-    farthest-first. Lloyd iterations then run until assignments stop
-    changing or max_iterations is hit. Cluster occupancy fractions become
-    the initial weights and per-cluster variances are floored. Ties in
-    distance always resolve to the lowest index, so the result depends only
-    on (data, k, seed).
+    The initial centers are the first k frames of farthest_first(data, n,
+    seed), computed here unless a caller passes that order, for any n >= k.
+    Lloyd iterations then run until assignments stop changing or
+    max_iterations is hit. Cluster occupancy fractions become the initial
+    weights and per-cluster variances are floored. Ties in distance always
+    resolve to the lowest index, so the result depends only on
+    (data, k, seed).
     """
     data = _check_training_data(data, k)
+    if order is None:
+        order = farthest_first(data, k, seed)
+    elif len(order) < k:
+        raise ValueError(f"seed order of {len(order)} frames < {k} mixture components")
     t = data.shape[0]
-    rng = np.random.default_rng(seed)
     floor, global_var = _variance_floor(data, variance_floor_factor)
     sq_norms = (data * data).sum(axis=1)
     columns = np.ascontiguousarray(data.T)
-
-    centers = np.empty((k, data.shape[1]))
-    centers[0] = data[int(rng.integers(t))]
-    min_d2 = _sq_dist_to(data, sq_norms, centers[0])
-    for j in range(1, k):
-        centers[j] = data[int(np.argmax(min_d2))]
-        np.minimum(min_d2, _sq_dist_to(data, sq_norms, centers[j]), out=min_d2)
+    centers = data[order[:k]]
 
     assignment, _ = _assign(data, sq_norms, centers)
     for _ in range(max_iterations):
@@ -355,7 +400,9 @@ def kmeans_init(
     return GmmModel(counts / t, centers, variances)
 
 
-def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]]:
+def em_fit(
+    data: np.ndarray, config: TrainConfig, order: np.ndarray | None = None
+) -> tuple[GmmModel, list[float]]:
     """Fit a diagonal GMM with EM; returns (model, per-iteration log-likelihoods).
 
     The trace is evaluated before each M-step and is non-decreasing (up to
@@ -365,6 +412,8 @@ def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]
     1/num_frames weight, keeping the component count fixed. The E-step runs
     over blocks of BLOCK_FRAMES frames, so its working memory does not grow
     with the frame count beyond the [x^2, x] matrix built once per fit.
+    order is kmeans_init's optional farthest-first order; the fit is the
+    same with or without it.
     """
     data = _check_training_data(data, config.num_components)
     t, dim = data.shape
@@ -376,6 +425,7 @@ def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]
         config.rng_seed,
         config.kmeans_max_iterations,
         config.variance_floor_factor,
+        order,
     )
     weights = model.weights
     means = model.means
@@ -386,7 +436,7 @@ def em_fit(data: np.ndarray, config: TrainConfig) -> tuple[GmmModel, list[float]
     trace: list[float] = []
     for iteration in range(config.max_em_iterations):
         occupancy, stats = _accumulate(x2, *_kernel(weights, means, variances), frame_ll)
-        total = math.fsum(frame_ll)
+        total = math.fsum(frame_ll.tolist())
         trace.append(total)
         if iteration > 0:
             previous = trace[-2]

@@ -164,7 +164,8 @@ def _band_peaks(
     if lo > hi:
         raise ValueError("search band contains no FFT bins at this resolution")
     p = lo + np.argmax(db[:, lo : hi + 1], axis=1)
-    span = max(1, int(round(config.prominence_span_hz * fft_size / sample_rate)))
+    # A span past the spectrum's width finds the same minima as the width.
+    span = max(1, min(round(config.prominence_span_hz * fft_size / sample_rate), width))
     # Windows run from the peak outwards; the +inf padding past either end
     # of the spectrum never wins a minimum.
     padded = np.pad(db, ((0, 0), (span, span)), constant_values=np.inf)

@@ -216,6 +216,25 @@ def block_posteriors_plain_exp(x2, proj, const):
     return peak + np.log(row_sum), post, row_sum
 
 
+def accumulate_ref(x2, posteriors, block_frames):
+    """The E-step's sums over frame blocks with the statistics GEMM in its
+    plain form, resp.T @ block; posteriors(block) gives (frame_ll, post,
+    row_sum) of one block, resp being post / row_sum.
+
+    Returns (frame_ll (T,), occupancy (M,), [second-order, first-order]
+    statistics (M, 2D)).
+    """
+    frame_ll, occupancy, stats = [], 0.0, 0.0
+    for lo in range(0, x2.shape[0], block_frames):
+        block = x2[lo : lo + block_frames]
+        ll, post, row_sum = posteriors(block)
+        resp = post / row_sum[:, None]
+        frame_ll.append(ll)
+        occupancy = occupancy + resp.sum(axis=0)
+        stats = stats + resp.T @ block
+    return np.concatenate(frame_ll), occupancy, stats
+
+
 def autocorr_ref(x, max_lag):
     n = len(x)
     return np.array(

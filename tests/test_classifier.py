@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dialectid
-from dialectid import gmm
+from dialectid import classifier, gmm
 from dialectid.classifier import (
     ClassifierBundle,
     classify_utterance,
@@ -236,6 +236,39 @@ class TestSweep:
         assert rows[0].error is None and rows[0].accuracy is not None
         assert rows[1].error is not None and rows[1].accuracy is None
 
+    def test_oversized_count_fails_only_its_own_row(self, tiny_corpus):
+        manifest, config = tiny_corpus.manifest, TrainConfig(num_components=1, rng_seed=2)
+        rows = sweep_mixtures(manifest, manifest, MfccConfig(), config, [2, 10**5, 4])
+        alone = sweep_mixtures(manifest, manifest, MfccConfig(), config, [2, 4])
+        assert rows[1].error is not None and rows[1].accuracy is None
+        assert [rows[0].accuracy, rows[2].accuracy] == [r.accuracy for r in alone]
+        assert rows[0].error is None and rows[2].error is None
+
+    def test_seeds_are_computed_once_per_dialect_for_the_largest_feasible_count(
+        self, tiny_corpus, monkeypatch
+    ):
+        lengths = []
+        real = classifier.farthest_first
+
+        def recorded(data, k, seed):
+            lengths.append(k)
+            return real(data, k, seed)
+
+        monkeypatch.setattr(classifier, "farthest_first", recorded)
+        rows = sweep_mixtures(
+            tiny_corpus.manifest, tiny_corpus.manifest, MfccConfig(), TrainConfig(1), [1, 2, 100000]
+        )
+        assert lengths == [2, 2]
+        assert [r.error is None for r in rows] == [True, True, False]
+
+    def test_row_times_are_the_slower_dialects(self, tiny_corpus):
+        (row,) = sweep_mixtures(
+            tiny_corpus.manifest, tiny_corpus.manifest, MfccConfig(), TrainConfig(1), [2]
+        )
+        assert row.train_seconds > 0.0 and row.score_seconds > 0.0
+        assert max(row.train_seconds, row.score_seconds) <= row.seconds
+        assert row.seconds <= row.train_seconds + row.score_seconds
+
     def test_empty_counts_rejected(self, tiny_corpus):
         with pytest.raises(ValueError):
             sweep_mixtures(
@@ -314,6 +347,34 @@ class TestBundlePersistence:
             del blob[key]
         else:
             blob[key] = value
+        desc.write_text(json.dumps(blob), encoding="utf-8")
+        with pytest.raises(DialectIdError, match=key):
+            load_bundle(out)
+
+    def test_missing_member_is_a_bundle_error(self, tmp_path, bundle_m1):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        os.remove(out / "ct.gmm")
+        with pytest.raises(DialectIdError, match="ct_model 'ct.gmm'"):
+            load_bundle(out)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("feature_config", "delta_window", 2.0),
+            ("feature_config", "fft_size", True),
+            ("feature_config", "frame_length_ms", "25"),
+            ("train_config", "num_components", 1.5),
+        ],
+    )
+    def test_config_values_of_the_wrong_kind_rejected(
+        self, tmp_path, bundle_m1, section, key, value
+    ):
+        out = tmp_path / "bundle"
+        save_bundle(bundle_m1, out)
+        desc = out / "bundle.json"
+        blob = json.loads(desc.read_text(encoding="utf-8"))
+        blob[section][key] = value
         desc.write_text(json.dumps(blob), encoding="utf-8")
         with pytest.raises(DialectIdError, match=key):
             load_bundle(out)
@@ -570,6 +631,9 @@ def run_mode(monkeypatch, mode):
 
 MODES = ["threads", "one-cpu", "no-setter"]
 
+# The wall-clock fields of a sweep record; every other field is deterministic.
+SWEEP_TIMING_KEYS = {"seconds", "train_seconds", "score_seconds"}
+
 
 @pytest.fixture(scope="module")
 def relabeled_manifest_path(tiny_corpus, tmp_path_factory):
@@ -615,7 +679,7 @@ class TestStagesOnTwoThreads:
                 assert run(argv) == 0
             assert bool(started) == (mode == "threads")
             outputs[mode] = [
-                {k: v for k, v in json.loads(line).items() if k != "seconds"}
+                {k: v for k, v in json.loads(line).items() if k not in SWEEP_TIMING_KEYS}
                 for line in out.read_text(encoding="utf-8").splitlines()
             ]
         rows = outputs["threads"]
@@ -623,6 +687,41 @@ class TestStagesOnTwoThreads:
         assert any(0.0 < (r["accuracy"] or 0.0) < 1.0 for r in rows)
         assert rows[-1]["error"] is not None
         assert outputs["one-cpu"] == rows and outputs["no-setter"] == rows
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_row_errors_and_unexpected_errors_keep_sequential_order(
+        self, tiny_corpus, monkeypatch, mode
+    ):
+        # LT fails with a domain error at M=2 and CT with an unexpected one:
+        # the row records LT's. CT fails unexpectedly at M=4 and LT at M=8:
+        # the earlier row's error is the one raised.
+        lt_frames = classifier._pooled_training_frames(
+            tiny_corpus.manifest, DialectLabel.LT, MfccConfig()
+        )
+        real = classifier.em_fit
+
+        def failing(frames, config, order=None):
+            side = "lt" if np.array_equal(frames, lt_frames) else "ct"
+            failure = {
+                ("lt", 2): DialectIdError("lt 2"),
+                ("ct", 2): RuntimeError("ct 2"),
+                ("ct", 4): RuntimeError("ct 4"),
+                ("lt", 8): RuntimeError("lt 8"),
+            }.get((side, config.num_components))
+            if failure is not None:
+                raise failure
+            return real(frames, config, order)
+
+        monkeypatch.setattr(classifier, "em_fit", failing)
+        manifest = tiny_corpus.manifest
+        with monkeypatch.context() as patch:
+            run_mode(patch, mode)
+            rows = sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1, 2, 3])
+            assert [r.error for r in rows] == [None, "lt 2", None]
+            with pytest.raises(RuntimeError, match="ct 4"):
+                sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1, 4, 8])
+            with pytest.raises(RuntimeError, match="lt 8"):
+                sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [8, 4])
 
     @pytest.mark.parametrize(
         "picks, culprit",

@@ -190,6 +190,22 @@ class TestWavIo:
         with pytest.raises(AudioFormatError):
             read_audio(path)
 
+    def test_partial_last_sample_rejected(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, AudioSignal(np.zeros(10), 16000))
+        path.write_bytes(path.read_bytes()[: 44 + 13])  # cut inside sample 7
+        with pytest.raises(AudioFormatError, match="partial last sample"):
+            read_audio(path)
+
+    def test_chunk_longer_than_the_file_rejected(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, AudioSignal(np.zeros(10), 16000))
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = (200).to_bytes(4, "little")  # fmt chunk runs past the end
+        path.write_bytes(bytes(blob))
+        with pytest.raises(AudioFormatError, match="truncated"):
+            read_audio(path)
+
     def test_duration_from_header(self, tmp_path):
         path = tmp_path / "a.wav"
         write_wav(path, AudioSignal(np.zeros(24000), 16000))

@@ -407,6 +407,9 @@ class TestConfigValidation:
             {"high_freq_hz": math.inf},
             {"frame_length_ms": 40.0},
             {"high_freq_hz": 9000.0},
+            {"num_mel_filters": 258},
+            {"delta_window": 2.0},
+            {"fft_size": True},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

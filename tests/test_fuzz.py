@@ -1,0 +1,138 @@
+"""Fuzzed inputs for the readers and the CLI: any byte string either parses
+or raises DialectIdError, and the CLI exits 0, 1 or 2 without a traceback."""
+
+import json
+import os
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dialectid import cli
+from dialectid.classifier import BUNDLE_DESCRIPTOR, load_bundle
+from dialectid.corpus import load_manifest, read_audio
+from dialectid.errors import DialectIdError
+from fuzz_inputs import config_texts, edited_json, manifest_texts, mutations, wav_bytes, wav_headers
+
+# Bounded and derandomized, so the suite stays deterministic and adds ~2 s.
+FUZZ = settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+WAVS = st.binary(max_size=60) | mutations(wav_bytes()) | wav_headers()
+MANIFESTS = st.binary(max_size=60) | manifest_texts()
+CONFIGS = st.binary(max_size=60) | config_texts(cli._CONFIG_KEYS)
+
+
+@pytest.fixture(scope="module")
+def bundle_template(tiny_corpus, tmp_path_factory):
+    """A trained M=1 bundle and its descriptor's key paths."""
+    out = str(tmp_path_factory.mktemp("fuzz-bundle") / "b")
+    assert cli.run(["train", "--manifest", tiny_corpus.manifest_path, "--components", "1",
+                    "--out", out]) == 0
+    with open(os.path.join(out, BUNDLE_DESCRIPTOR), encoding="utf-8") as fh:
+        descriptor = json.load(fh)
+    paths = [(key,) for key in descriptor] + [("extra",)] + [
+        (section, key)
+        for section in ("feature_config", "train_config")
+        for key in descriptor[section]
+    ]
+    return out, descriptor, paths
+
+
+def bundle_descriptors(template):
+    out, descriptor, paths = template
+    with open(os.path.join(out, BUNDLE_DESCRIPTOR), "rb") as fh:
+        valid = fh.read()
+    return st.binary(max_size=60) | mutations(valid) | edited_json(descriptor, paths)
+
+
+def fuzzed_bundle(template, tmp_path, blob):
+    """The template's model files beside a descriptor of the given bytes."""
+    directory = tmp_path / "bundle"
+    if not directory.exists():
+        shutil.copytree(template[0], directory)
+    (directory / BUNDLE_DESCRIPTOR).write_bytes(blob)
+    return str(directory)
+
+
+class TestReaders:
+    @FUZZ
+    @given(blob=MANIFESTS)
+    def test_manifest(self, tmp_path, blob):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(blob)
+        try:
+            manifest = load_manifest(path)
+        except DialectIdError:
+            return
+        assert all(os.path.isabs(r.audio_path) for r in manifest.records)
+
+    @FUZZ
+    @given(blob=CONFIGS)
+    def test_config(self, tmp_path, blob):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(blob)
+        try:
+            kv = cli._load_config(path)
+        except DialectIdError:
+            return
+        assert set(kv) <= cli._CONFIG_KEYS
+
+    @FUZZ
+    @given(blob=WAVS)
+    def test_audio(self, tmp_path, blob):
+        path = tmp_path / "a.wav"
+        path.write_bytes(blob)
+        try:
+            signal = read_audio(path)
+        except DialectIdError:
+            return
+        assert signal.sample_rate == 16000
+        assert ((signal.samples >= -1.0) & (signal.samples < 1.0)).all()
+
+    @FUZZ
+    @given(data=st.data())
+    def test_bundle(self, bundle_template, tmp_path, data):
+        blob = data.draw(bundle_descriptors(bundle_template))
+        try:
+            bundle = load_bundle(fuzzed_bundle(bundle_template, tmp_path, blob))
+        except DialectIdError:
+            return
+        assert bundle.lt_model.dim == bundle.ct_model.dim == 39
+
+
+class TestCommandLine:
+    """One command per example on one fuzzed file; the other inputs are valid."""
+
+    @settings(FUZZ, max_examples=80)
+    @given(kind=st.sampled_from(["manifest", "config", "wav", "bundle"]), data=st.data())
+    def test_exit_status_without_traceback(
+        self, tiny_corpus, bundle_template, tmp_path, capsys, kind, data
+    ):
+        wav = tiny_corpus.manifest.records[0].audio_path
+        features = str(tmp_path / "f.bin")
+        path = str(tmp_path / f"input.{kind}")
+        if kind == "bundle":
+            blob = data.draw(bundle_descriptors(bundle_template))
+            argv = ["classify", "--bundle", fuzzed_bundle(bundle_template, tmp_path, blob),
+                    "--audio", wav]
+        else:
+            blob = data.draw({"manifest": MANIFESTS, "config": CONFIGS, "wav": WAVS}[kind])
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            if kind == "manifest":
+                argv = ["validate", "--manifest", path]
+            elif kind == "config":
+                argv = ["extract", "--audio", wav, "--out", features, "--config", path]
+            elif data.draw(st.booleans()):
+                argv = ["extract", "--audio", path, "--out", features]
+            else:
+                argv = ["nasal", "--audio", path]
+        capsys.readouterr()
+        assert cli.run(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err

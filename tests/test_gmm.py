@@ -1,5 +1,6 @@
 """Mixture model tests: densities, k-means seeding, EM, persistence."""
 
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference
+from fuzz_inputs import mutations
 from dialectid import gmm
 from dialectid.errors import (
     DialectIdError,
@@ -337,6 +339,26 @@ class TestBatchedKernelsAgainstReferences:
         assert rel_err(model.means, means) <= 1e-9
         assert rel_err(model.variances, variances) <= 1e-9
 
+    @pytest.mark.parametrize("t", BLOCK_EDGE_FRAMES)
+    @pytest.mark.parametrize("m", [1, 16, 256])
+    def test_accumulate_equals_the_plain_statistics_gemm(self, m, t):
+        if gmm._openblas_thread_functions() is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+        rng = np.random.default_rng(m + 3 * t)
+        model = random_model(rng, m, 39)
+        proj, const = gmm._kernel(model.weights, model.means, model.variances)
+        x2 = gmm._squares_and_frames(rng.uniform(-3.0, 3.0, (t, 39)))
+        got_ll = np.empty(t)
+        with gmm.one_blas_thread():
+            got = gmm._accumulate(x2, proj, const, got_ll)
+            want = reference.accumulate_ref(
+                x2, lambda block: gmm._block_posteriors(block, proj, const), BLOCK_FRAMES
+            )
+        assert np.array_equal(got_ll, want[0])
+        assert np.array_equal(got[0], want[1])
+        assert np.array_equal(got[1], want[2])
+        assert got[1].flags.c_contiguous
+
     def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
         rng = np.random.default_rng(41)
         model = random_model(rng, 256, 39)
@@ -397,6 +419,29 @@ class TestExpFlush:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
+    def test_zero_weight_columns_alone_do_not_take_the_flush(self, monkeypatch):
+        # A zero-weight component's log-joints are all -inf; exp gives their
+        # zeros on its fast path, so they must not switch on the mask passes.
+        rng = np.random.default_rng(53)
+        model = random_model(rng, 16, 5)
+        model.weights[3] = 0.0
+        model.weights /= model.weights.sum()
+        proj, const = gmm._kernel(model.weights, model.means, model.variances)
+        x2 = gmm._squares_and_frames(rng.standard_normal((500, 5)))
+        log_joint = x2 @ proj.T + const
+        log_joint -= log_joint.max(axis=1)[:, None]
+        assert np.isneginf(log_joint[:, 3]).all()
+        assert np.delete(log_joint, 3, axis=1).min() >= EXP_CUT
+        want = reference.block_posteriors_plain_exp(x2, proj, const)
+        flushes = []
+        real = np.maximum
+        monkeypatch.setattr(np, "maximum", lambda *a, **k: flushes.append(1) or real(*a, **k))
+        got = gmm._block_posteriors(x2, proj, const)
+        monkeypatch.undo()
+        assert not flushes
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_em_fit_at_m256_is_bit_identical_with_either_kernel(self, monkeypatch):
         rng = np.random.default_rng(51)
         data = blob_frames(rng, BLOCK_FRAMES + 400, 256, spread=4.0)
@@ -417,6 +462,56 @@ class TestExpFlush:
             want = em_fit(data, config)
         assert len(flushed) == 2 * len(got[1]) and sum(flushed) > 0
         assert_same_fit(got, want)
+
+
+class TestSharedSeedOrder:
+    CONFIG = TrainConfig(
+        num_components=1, max_em_iterations=3, kmeans_max_iterations=3, rng_seed=4
+    )
+
+    def test_order_for_k_is_a_prefix_of_the_order_for_more(self):
+        data = blob_frames(np.random.default_rng(60), 500, 6, spread=3.0)
+        order = gmm.farthest_first(data, 30, seed=4)
+        assert len(set(order.tolist())) == 30
+        for k in (1, 2, 17, 29):
+            assert np.array_equal(gmm.farthest_first(data, k, seed=4), order[:k])
+
+    def test_em_fit_from_a_shared_order_equals_its_own_seeding(self):
+        data = blob_frames(np.random.default_rng(61), 400, 6, spread=3.0)
+        order = gmm.farthest_first(data, 24, self.CONFIG.rng_seed)
+        with gmm.one_blas_thread():
+            for k in range(1, order.size + 1):
+                config = dataclasses.replace(self.CONFIG, num_components=k)
+                assert_same_fit(em_fit(data, config, order), em_fit(data, config))
+
+    def test_order_shorter_than_the_count_rejected(self):
+        data = blob_frames(np.random.default_rng(62), 100, 3, spread=3.0)
+        with pytest.raises(ValueError, match="seed order"):
+            kmeans_init(data, 5, seed=0, order=gmm.farthest_first(data, 4, seed=0))
+
+
+class TestModelLayout:
+    def test_f_ordered_model_scores_and_refits_like_its_c_copy(self):
+        # _kernel's row sums over the variances round by the memory layout,
+        # so the model keeps C-ordered arrays whatever it was given.
+        rng = np.random.default_rng(63)
+        model = random_model(rng, 64, 39)
+        model.variances = rng.uniform(0.01, 5.0, (64, 39))
+        fortran = GmmModel(
+            *(np.asfortranarray(a) for a in (model.weights, model.means, model.variances))
+        )
+        assert fortran.means.flags.c_contiguous and fortran.variances.flags.c_contiguous
+        frames = rng.uniform(-3.0, 3.0, (BLOCK_FRAMES + 7, 39))
+        x2 = gmm._squares_and_frames(frames)
+        results = []
+        for m in (model, fortran):
+            kernel = gmm._kernel(m.weights, m.means, m.variances)
+            frame_ll = np.empty(frames.shape[0])
+            stats = gmm._accumulate(x2, *kernel, frame_ll)
+            results.append([*kernel, frame_ll, *stats])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+        assert log_likelihood_sequence(fortran, frames) == log_likelihood_sequence(model, frames)
 
 
 class TestEmFitMemory:
@@ -450,6 +545,9 @@ class TestTrainConfigValidation:
             {"num_components": 2, "variance_floor_factor": -math.inf},
             {"num_components": math.nan},
             {"num_components": 2, "rng_seed": -3},
+            {"num_components": 2.0},
+            {"num_components": True},
+            {"num_components": 2, "convergence_tol": "1e-5"},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -535,19 +633,6 @@ def header_and_payload(magic):
         count,
         payload,
     )
-
-
-def mutations(blob):
-    """blob with a few bytes replaced, then possibly cut short."""
-    edits = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=3)
-
-    def apply(pairs, cut):
-        out = bytearray(blob)
-        for i, b in pairs:
-            out[i] = b
-        return bytes(out[:cut])
-
-    return st.builds(apply, edits, st.integers(0, len(blob)))
 
 
 class TestLoadModelFuzz:

@@ -459,6 +459,18 @@ class TestBatchedCore:
             at_top += p == db.size - 1
         assert at_top > 0
 
+    def test_span_wider_than_the_spectrum_matches_reference(self):
+        rng = np.random.default_rng(10)
+        for span_hz in (1e5, 1e30):
+            cfg = NasalConfig(band_low_hz=0.1, band_high_hz=8000.0, prominence_span_hz=span_hz)
+            db = rng.standard_normal(40)
+            fft_size = 2 * (db.size - 1)
+            hz, _, hit = find_band_peak(db, fft_size, SR, cfg)
+            p, want_hit = reference.band_peak_ref(
+                db, fft_size, SR, cfg.band_low_hz, cfg.band_high_hz, span_hz, cfg.prominence_db
+            )
+            assert (hz, hit) == (p * SR / fft_size, want_hit)
+
     def test_report_fields_are_plain_python(self):
         report = analyze_segment(vowel(seed=2, num_samples=SR // 4))
         fp = report.frame_peaks[0]
