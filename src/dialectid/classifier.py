@@ -23,8 +23,8 @@ from .fileio import atomic_open
 from .gmm import (
     GmmModel,
     TrainConfig,
+    TrainingFrames,
     em_fit,
-    farthest_first,
     fit_pair,
     load_model,
     log_likelihood_segments,
@@ -252,24 +252,28 @@ def _sweep_side(
     base_config: TrainConfig,
     counts: list[int],
     test_frames: np.ndarray,
-    ends: list[int],
+    starts: list[int],
 ) -> list[tuple]:
     """One dialect's side of the sweep: per count, in order, (the test
     utterances' log-likelihoods or the exception the row raised, fit
-    seconds, scoring seconds). The farthest-first seeds are computed once,
-    before the rows and outside their times, for the largest count the
-    frames allow; every row fits from a prefix of them."""
-    largest = max((c for c in counts if c <= frames.shape[0]), default=0)
-    order = farthest_first(frames, largest, base_config.rng_seed) if largest else None
+    seconds, scoring seconds). The rows share one TrainingFrames, built
+    before them like the features: each row's fit picks, within its own
+    time, only the seeds that the rows before it did not. An exception other
+    than a DialectIdError ends the side: the sweep raises it or one of an
+    earlier row."""
+    prepared = TrainingFrames(frames, base_config.rng_seed)
+    prepared.x2  # made here too, so that the first row does not pay for it
     outcomes = []
     for count in counts:
         start = time.perf_counter()
         try:
-            model, _ = em_fit(frames, replace(base_config, num_components=count), order)
+            model, _ = em_fit(frames, replace(base_config, num_components=count), prepared)
             fitted = time.perf_counter()
-            scores = log_likelihood_segments(model, test_frames, ends)
+            scores = log_likelihood_segments(model, test_frames, starts)
         except Exception as exc:
             outcomes.append((exc, time.perf_counter() - start, 0.0))
+            if not isinstance(exc, DialectIdError):
+                break
             continue
         outcomes.append((scores, fitted - start, time.perf_counter() - fitted))
     return outcomes
@@ -310,29 +314,38 @@ def sweep_mixtures(
             lambda: [_record_features(rec, feature_config) for rec in records[:half]],
             lambda: [_record_features(rec, feature_config) for rec in records[half:]],
         )
-        ends = np.cumsum([f.shape[0] for f in first + second]).tolist()
+        lengths = [f.shape[0] for f in first + second]
+        starts = np.cumsum([0, *lengths[:-1]]).tolist()
         test_frames = np.vstack(first + second)
         del first, second
         lt_side, ct_side = run_pair(
-            lambda: _sweep_side(lt_frames, base_train_config, counts, test_frames, ends),
-            lambda: _sweep_side(ct_frames, base_train_config, counts, test_frames, ends),
+            lambda: _sweep_side(lt_frames, base_train_config, counts, test_frames, starts),
+            lambda: _sweep_side(ct_frames, base_train_config, counts, test_frames, starts),
         )
 
-    rows = []
-    for count, (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) in zip(counts, lt_side, ct_side):
-        times = (
-            max(lt_fit + lt_score, ct_fit + ct_score),
-            max(lt_fit, ct_fit),
-            max(lt_score, ct_score),
-        )
-        error = lt if isinstance(lt, Exception) else ct if isinstance(ct, Exception) else None
-        if error is None:
-            decided = zip(records, map(_decision, lt, ct))
-            rows.append(SweepRow(count, _score(decided).accuracy, *times))
-        elif isinstance(error, DialectIdError):
-            rows.append(SweepRow(count, None, *times, str(error)))
-        else:
-            raise error
+        rows = []
+        for i, count in enumerate(counts):
+            if i == len(ct_side):
+                # CT stopped at an unexpected error in the row before, where
+                # LT's row error came first. In sequential order CT's fit of
+                # that row never ran, so its later rows run here.
+                ct_side += _sweep_side(
+                    ct_frames, base_train_config, counts[i:], test_frames, starts
+                )
+            (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) = lt_side[i], ct_side[i]
+            times = (
+                max(lt_fit + lt_score, ct_fit + ct_score),
+                max(lt_fit, ct_fit),
+                max(lt_score, ct_score),
+            )
+            error = lt if isinstance(lt, Exception) else ct if isinstance(ct, Exception) else None
+            if error is None:
+                decided = zip(records, map(_decision, lt, ct))
+                rows.append(SweepRow(count, _score(decided).accuracy, *times))
+            elif isinstance(error, DialectIdError):
+                rows.append(SweepRow(count, None, *times, str(error)))
+            else:
+                raise error
     return rows
 
 

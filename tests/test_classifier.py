@@ -244,21 +244,21 @@ class TestSweep:
         assert [rows[0].accuracy, rows[2].accuracy] == [r.accuracy for r in alone]
         assert rows[0].error is None and rows[2].error is None
 
-    def test_seeds_are_computed_once_per_dialect_for_the_largest_feasible_count(
-        self, tiny_corpus, monkeypatch
-    ):
-        lengths = []
-        real = classifier.farthest_first
+    def test_seeds_grow_row_by_row_and_never_past_the_frames(self, tiny_corpus, monkeypatch):
+        # One TrainingFrames per dialect: each row picks only the seeds it
+        # adds, and a count above the frame count picks none.
+        made = []
 
-        def recorded(data, k, seed):
-            lengths.append(k)
-            return real(data, k, seed)
+        class Recorded(gmm.TrainingFrames):
+            def __init__(self, data, seed):
+                super().__init__(data, seed)
+                made.append(self)
 
-        monkeypatch.setattr(classifier, "farthest_first", recorded)
+        monkeypatch.setattr(classifier, "TrainingFrames", Recorded)
         rows = sweep_mixtures(
             tiny_corpus.manifest, tiny_corpus.manifest, MfccConfig(), TrainConfig(1), [1, 2, 100000]
         )
-        assert lengths == [2, 2]
+        assert [len(seeds._order) for seeds in made] == [2, 2]
         assert [r.error is None for r in rows] == [True, True, False]
 
     def test_row_times_are_the_slower_dialects(self, tiny_corpus):
@@ -694,14 +694,17 @@ class TestStagesOnTwoThreads:
     ):
         # LT fails with a domain error at M=2 and CT with an unexpected one:
         # the row records LT's. CT fails unexpectedly at M=4 and LT at M=8:
-        # the earlier row's error is the one raised.
+        # the earlier row's error is the one raised. A dialect fits no row
+        # after its own unexpected error, unless LT's row error hid it.
         lt_frames = classifier._pooled_training_frames(
             tiny_corpus.manifest, DialectLabel.LT, MfccConfig()
         )
         real = classifier.em_fit
+        fitted = []
 
-        def failing(frames, config, order=None):
+        def failing(frames, config, prepared=None):
             side = "lt" if np.array_equal(frames, lt_frames) else "ct"
+            fitted.append((side, config.num_components))
             failure = {
                 ("lt", 2): DialectIdError("lt 2"),
                 ("ct", 2): RuntimeError("ct 2"),
@@ -710,7 +713,7 @@ class TestStagesOnTwoThreads:
             }.get((side, config.num_components))
             if failure is not None:
                 raise failure
-            return real(frames, config, order)
+            return real(frames, config, prepared)
 
         monkeypatch.setattr(classifier, "em_fit", failing)
         manifest = tiny_corpus.manifest
@@ -718,10 +721,15 @@ class TestStagesOnTwoThreads:
             run_mode(patch, mode)
             rows = sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1, 2, 3])
             assert [r.error for r in rows] == [None, "lt 2", None]
+            assert ("ct", 3) in fitted
+            fitted.clear()
             with pytest.raises(RuntimeError, match="ct 4"):
-                sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1, 4, 8])
+                sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1, 4, 8, 2])
+            assert ("ct", 8) not in fitted and ("ct", 2) not in fitted
+            fitted.clear()
             with pytest.raises(RuntimeError, match="lt 8"):
-                sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [8, 4])
+                sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [8, 4, 1])
+            assert ("lt", 4) not in fitted and ("lt", 1) not in fitted
 
     @pytest.mark.parametrize(
         "picks, culprit",

@@ -29,6 +29,7 @@ from dialectid.gmm import (
     fit_pair,
     kmeans_init,
     load_model,
+    log_likelihood_segments,
     log_likelihood_sequence,
     save_model,
 )
@@ -340,10 +341,8 @@ class TestBatchedKernelsAgainstReferences:
         assert rel_err(model.variances, variances) <= 1e-9
 
     @pytest.mark.parametrize("t", BLOCK_EDGE_FRAMES)
-    @pytest.mark.parametrize("m", [1, 16, 256])
+    @pytest.mark.parametrize("m", [1, 16, 197, 256])
     def test_accumulate_equals_the_plain_statistics_gemm(self, m, t):
-        if gmm._openblas_thread_functions() is None:
-            pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
         rng = np.random.default_rng(m + 3 * t)
         model = random_model(rng, m, 39)
         proj, const = gmm._kernel(model.weights, model.means, model.variances)
@@ -358,6 +357,23 @@ class TestBatchedKernelsAgainstReferences:
         assert np.array_equal(got[0], want[1])
         assert np.array_equal(got[1], want[2])
         assert got[1].flags.c_contiguous
+
+    def test_segments_score_like_separate_sequences(self):
+        rng = np.random.default_rng(44)
+        model = random_model(rng, 32, 39)
+        lengths = [1, 300, BLOCK_FRAMES - 250, 700, 2]
+        frames = rng.uniform(-3.0, 3.0, (sum(lengths), 39))
+        starts = np.cumsum([0, *lengths[:-1]]).tolist()
+        got = log_likelihood_segments(model, frames, starts)
+        want = [
+            log_likelihood_sequence(model, frames[lo : lo + n])
+            for lo, n in zip(starts, lengths)
+        ]
+        assert len(got) == len(lengths)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert log_likelihood_segments(model, frames, [0]) == [
+            log_likelihood_sequence(model, frames)
+        ]
 
     def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
         rng = np.random.default_rng(41)
@@ -464,30 +480,40 @@ class TestExpFlush:
         assert_same_fit(got, want)
 
 
-class TestSharedSeedOrder:
+class TestSharedTrainingFrames:
     CONFIG = TrainConfig(
         num_components=1, max_em_iterations=3, kmeans_max_iterations=3, rng_seed=4
     )
 
-    def test_order_for_k_is_a_prefix_of_the_order_for_more(self):
+    def test_seeds_for_k_are_a_prefix_of_the_seeds_for_more(self):
         data = blob_frames(np.random.default_rng(60), 500, 6, spread=3.0)
-        order = gmm.farthest_first(data, 30, seed=4)
+        order = gmm.TrainingFrames(data, seed=4).seeds(30)
         assert len(set(order.tolist())) == 30
         for k in (1, 2, 17, 29):
-            assert np.array_equal(gmm.farthest_first(data, k, seed=4), order[:k])
+            assert np.array_equal(gmm.TrainingFrames(data, seed=4).seeds(k), order[:k])
 
-    def test_em_fit_from_a_shared_order_equals_its_own_seeding(self):
+    def test_grown_seeds_equal_seeds_picked_at_once(self):
+        data = blob_frames(np.random.default_rng(64), 300, 5, spread=3.0)
+        grown = gmm.TrainingFrames(data, seed=1)
+        for k in (3, 3, 1, 20, 7, 40):
+            assert np.array_equal(grown.seeds(k), gmm.TrainingFrames(data, seed=1).seeds(k))
+        assert len(grown._order) == 40
+
+    def test_fits_sharing_training_frames_equal_their_own(self):
         data = blob_frames(np.random.default_rng(61), 400, 6, spread=3.0)
-        order = gmm.farthest_first(data, 24, self.CONFIG.rng_seed)
+        frames = gmm.TrainingFrames(data, self.CONFIG.rng_seed)
         with gmm.one_blas_thread():
-            for k in range(1, order.size + 1):
+            for k in range(1, 25):
                 config = dataclasses.replace(self.CONFIG, num_components=k)
-                assert_same_fit(em_fit(data, config, order), em_fit(data, config))
+                assert_same_fit(em_fit(data, config, frames), em_fit(data, config))
+        assert len(frames._order) == 24
 
-    def test_order_shorter_than_the_count_rejected(self):
+    def test_more_seeds_than_frames_rejected_before_any_pick(self):
         data = blob_frames(np.random.default_rng(62), 100, 3, spread=3.0)
-        with pytest.raises(ValueError, match="seed order"):
-            kmeans_init(data, 5, seed=0, order=gmm.farthest_first(data, 4, seed=0))
+        frames = gmm.TrainingFrames(data, seed=0)
+        with pytest.raises(FewerFramesThanComponents):
+            frames.seeds(101)
+        assert frames._order == []
 
 
 class TestModelLayout:
@@ -528,6 +554,19 @@ class TestEmFitMemory:
         finally:
             tracemalloc.stop()
         assert peak < t * m * 8
+
+    def test_fit_holds_at_most_three_copies_of_its_frames(self):
+        # [x^2, x] is made after the k-means step, so it never sits beside
+        # the k-means working set (the frames column-wise and deviations).
+        data = np.random.default_rng(43).standard_normal((20000, 39))
+        config = TrainConfig(num_components=16, max_em_iterations=2, kmeans_max_iterations=2)
+        tracemalloc.start()
+        try:
+            em_fit(data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * data.nbytes
 
 
 class TestTrainConfigValidation:
