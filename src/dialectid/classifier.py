@@ -25,7 +25,6 @@ from .gmm import (
     TrainConfig,
     TrainingFrames,
     em_fit,
-    fit_pair,
     load_model,
     log_likelihood_segments,
     log_likelihood_sequence,
@@ -182,7 +181,9 @@ def train_bundle(
     """
     with one_blas_thread():
         lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
-        (lt_model, lt_trace), (ct_model, ct_trace) = fit_pair(lt_frames, ct_frames, train_config)
+        (lt_model, lt_trace), (ct_model, ct_trace) = run_pair(
+            lambda: em_fit(lt_frames, train_config), lambda: em_fit(ct_frames, train_config)
+        )
     training = {
         DialectLabel.LT.value: _training_record(lt_frames, lt_trace),
         DialectLabel.CT.value: _training_record(ct_frames, ct_trace),

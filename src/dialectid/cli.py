@@ -44,7 +44,6 @@ from .corpus import (
     format_stats,
     load_manifest,
     read_audio,
-    stats_records,
     validate_split,
 )
 from .dsp import (
@@ -381,7 +380,7 @@ def cmd_validate(args, kv) -> int:
 
 
 def cmd_stats(args, kv) -> int:
-    records = stats_records(corpus_stats(load_manifest(args.manifest)))
+    records = corpus_stats(load_manifest(args.manifest))
     _emit(args, records, format_stats(records))
     return 0
 

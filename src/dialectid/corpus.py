@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -243,48 +243,38 @@ def validate_split(manifest: CorpusManifest) -> SplitReport:
     return SplitReport(not overlap, overlap, missing, warnings)
 
 
-@dataclass
-class CellStats:
-    utterances: int = 0
-    duration_hours: float = 0.0
-    speakers: int = 0
-    male_speakers: int = 0
-    female_speakers: int = 0
-    unreadable: list[str] = field(default_factory=list)
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.unreadable)
-
-
-@dataclass
-class CorpusStats:
-    """Durations and speaker counts per (dialect, split) and per dialect."""
-
-    cells: dict[tuple[DialectLabel, Split], CellStats]
-    dialect_totals: dict[DialectLabel, CellStats]
-
-
-def _stats_of(records: list[UtteranceRecord], durations: dict[str, float | None]) -> CellStats:
-    cell = CellStats()
+def _stats_record(
+    dialect: DialectLabel, split: str, records: list[UtteranceRecord], durations: dict
+) -> dict:
+    """The report record of one cell; split "all" is the dialect's total."""
+    hours = 0.0
+    unreadable = []
     speakers: dict[str, set[Gender]] = {}
     for r in records:
-        cell.utterances += 1
         d = durations[r.audio_path]
         if d is None:
-            cell.unreadable.append(r.audio_path)
+            unreadable.append(r.audio_path)
         else:
-            cell.duration_hours += d / 3600.0
+            hours += d / 3600.0
         speakers.setdefault(r.speaker_id, set()).add(r.gender)
-    cell.speakers = len(speakers)
-    cell.male_speakers = sum(1 for g in speakers.values() if Gender.MALE in g)
-    cell.female_speakers = sum(1 for g in speakers.values() if Gender.FEMALE in g)
-    return cell
+    return {
+        "dialect": dialect.value,
+        "split": split,
+        "utterances": len(records),
+        "duration_hours": hours,
+        "duration_hms": hours_to_hms(hours),
+        "speakers": len(speakers),
+        "male_speakers": sum(1 for g in speakers.values() if Gender.MALE in g),
+        "female_speakers": sum(1 for g in speakers.values() if Gender.FEMALE in g),
+        "partial": bool(unreadable),
+        "unreadable": sorted(unreadable),
+    }
 
 
-def corpus_stats(manifest: CorpusManifest) -> CorpusStats:
-    """Header-derived durations and speaker counts; unreadable files are
-    listed in their cells rather than aborting the whole scan."""
+def corpus_stats(manifest: CorpusManifest) -> list[dict]:
+    """The stats report: header-derived durations and speaker counts, one
+    record per (dialect, split) cell, then one per dialect total. Unreadable
+    files are listed in their records rather than aborting the whole scan."""
     durations: dict[str, float | None] = {}
     for r in manifest.records:
         if r.audio_path not in durations:
@@ -292,15 +282,9 @@ def corpus_stats(manifest: CorpusManifest) -> CorpusStats:
                 durations[r.audio_path] = audio_duration_s(r.audio_path)
             except (AudioFormatError, OSError):
                 durations[r.audio_path] = None
-    cells = {}
-    for dialect in DialectLabel:
-        for split in Split:
-            cells[(dialect, split)] = _stats_of(manifest.subset(dialect, split), durations)
-    totals = {
-        dialect: _stats_of(manifest.subset(dialect), durations)
-        for dialect in DialectLabel
-    }
-    return CorpusStats(cells, totals)
+    cells = [(d, s.value, manifest.subset(d, s)) for d in DialectLabel for s in Split]
+    totals = [(d, "all", manifest.subset(d)) for d in DialectLabel]
+    return [_stats_record(*cell, durations) for cell in cells + totals]
 
 
 def hours_to_hms(hours: float) -> str:
@@ -320,8 +304,8 @@ _STATS_ROWS = (
 
 
 def format_stats(records: list[dict]) -> str:
-    """Aligned text tables of stats_records: per-dialect totals, then the
-    split breakdown."""
+    """Aligned text tables of corpus_stats records: per-dialect totals, then
+    the split breakdown."""
     cells = {(r["dialect"], r["split"]): r for r in records}
     dialects = [d.value for d in DialectLabel]
     header = "".join(f"{d:>12}" for d in dialects)
@@ -335,29 +319,3 @@ def format_stats(records: list[dict]) -> str:
     for split in Split:
         out += [row(f"{name:<18}{split.value:<8}", fmt, split.value) for name, fmt in _STATS_ROWS]
     return "\n".join(out)
-
-
-def stats_records(stats: CorpusStats) -> list[dict]:
-    """One structured record per (dialect, split) cell plus dialect totals."""
-
-    def rec(cell: CellStats, dialect: DialectLabel, split: str) -> dict:
-        return {
-            "dialect": dialect.value,
-            "split": split,
-            "utterances": cell.utterances,
-            "duration_hours": cell.duration_hours,
-            "duration_hms": hours_to_hms(cell.duration_hours),
-            "speakers": cell.speakers,
-            "male_speakers": cell.male_speakers,
-            "female_speakers": cell.female_speakers,
-            "partial": cell.partial,
-            "unreadable": sorted(cell.unreadable),
-        }
-
-    out = []
-    for dialect in DialectLabel:
-        for split in Split:
-            out.append(rec(stats.cells[(dialect, split)], dialect, split.value))
-    for dialect in DialectLabel:
-        out.append(rec(stats.dialect_totals[dialect], dialect, "all"))
-    return out

@@ -32,6 +32,11 @@ FEATURE_MAGIC = b"MFCC"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sIII")
 
+# Largest accepted fft_size, 4 s at 16 kHz: far above any speech analysis
+# window. The filterbank and each frame's spectrum grow with fft_size, so a
+# larger one buys no resolution that is used and can exhaust memory.
+MAX_FFT_SIZE = 2**16
+
 
 @dataclass(eq=False)
 class AudioSignal:
@@ -65,6 +70,8 @@ class Framing:
             raise ValueError("frame shift must not exceed frame length")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
             raise ValueError("fft_size must be a power of two")
+        if self.fft_size > MAX_FFT_SIZE:
+            raise ValueError(f"fft_size must be at most {MAX_FFT_SIZE}")
 
     def frame_samples(self, sample_rate: int) -> int:
         return int(round(self.frame_length_ms * sample_rate / 1000.0))
@@ -292,8 +299,10 @@ def extract_segment(signal: AudioSignal, start_s: float, end_s: float) -> AudioS
     """Slice [start_s, end_s) out of a signal, clipped to its bounds."""
     if not 0.0 <= start_s < end_s:
         raise ValueError("need 0 <= start_s < end_s")
-    lo = int(round(start_s * signal.sample_rate))
-    hi = min(int(round(end_s * signal.sample_rate)), signal.samples.size)
+    # Clipped before rounding, so a bound of any size past the end is the end.
+    size = signal.samples.size
+    lo = int(round(min(start_s * signal.sample_rate, size)))
+    hi = int(round(min(end_s * signal.sample_rate, size)))
     return AudioSignal(signal.samples[lo:hi].copy(), signal.sample_rate)
 
 

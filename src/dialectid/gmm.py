@@ -356,33 +356,25 @@ class TrainingFrames:
         return np.array(self._order[:k], dtype=np.intp)
 
 
-def kmeans_init(
-    data: np.ndarray,
-    k: int,
-    seed: int,
-    max_iterations: int = TrainConfig.kmeans_max_iterations,
-    variance_floor_factor: float = TrainConfig.variance_floor_factor,
-    frames: TrainingFrames | None = None,
-) -> GmmModel:
+def kmeans_init(frames: TrainingFrames, config: TrainConfig) -> GmmModel:
     """Seeded k-means initialization for EM.
 
-    The initial centers are the first k seeds of frames, which must be
-    TrainingFrames(data, seed) and is made here when not given. Lloyd
-    iterations then run until assignments stop changing or max_iterations
-    is hit. Cluster occupancy fractions become the initial weights and
-    per-cluster variances are floored. Ties in distance always resolve to
-    the lowest index, so the result depends only on (data, k, seed).
+    The initial centers are the first config.num_components seeds of
+    frames. Lloyd iterations then run until assignments stop changing or
+    config.kmeans_max_iterations is hit. Cluster occupancy fractions become
+    the initial weights and per-cluster variances are floored. Ties in
+    distance always resolve to the lowest index, so the result depends only
+    on the frames, their seed and the config (whose rng_seed is not read).
     """
-    if frames is None:
-        frames = TrainingFrames(data, seed)
+    k = config.num_components
     data, sq_norms = frames.data, frames.sq_norms
     centers = data[frames.seeds(k)]
     columns = np.ascontiguousarray(data.T)
     t = data.shape[0]
-    floor, global_var = frames.variance_floor(variance_floor_factor)
+    floor, global_var = frames.variance_floor(config.variance_floor_factor)
 
     assignment, _ = _assign(data, sq_norms, centers)
-    for _ in range(max_iterations):
+    for _ in range(config.kmeans_max_iterations):
         counts = np.bincount(assignment, minlength=k)
         nonempty = counts > 0
         centers[nonempty] = _cluster_means(columns, assignment, counts)[nonempty]
@@ -431,14 +423,7 @@ def em_fit(
     t, dim = data.shape
     floor, global_var = frames.variance_floor(config.variance_floor_factor)
 
-    model = kmeans_init(
-        data,
-        config.num_components,
-        config.rng_seed,
-        config.kmeans_max_iterations,
-        config.variance_floor_factor,
-        frames,
-    )
+    model = kmeans_init(frames, config)
     weights = model.weights
     means = model.means
     variances = model.variances
@@ -548,14 +533,6 @@ def run_pair(lt_job, ct_job):
         if isinstance(ct, Exception):
             raise ct
         return lt, ct
-
-
-def fit_pair(
-    lt_frames: np.ndarray, ct_frames: np.ndarray, config: TrainConfig
-) -> tuple[tuple[GmmModel, list[float]], tuple[GmmModel, list[float]]]:
-    """em_fit of the LT and the CT frames: ((model, trace) of LT, of CT),
-    fitted concurrently by run_pair."""
-    return run_pair(lambda: em_fit(lt_frames, config), lambda: em_fit(ct_frames, config))
 
 
 def save_model(model: GmmModel, path) -> None:

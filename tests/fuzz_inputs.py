@@ -77,7 +77,8 @@ def config_texts(keys):
     numbers in and out of range, non-finite or not numbers."""
     values = st.sampled_from(
         ["0", "1", "2", "3", "-3", "0.5", "13", "26", "512", "1024", "7600", "1e-300",
-         "nan", "inf", "-inf", "1e999", "9" * 30, "0x10", "abc", ""]
+         "nan", "inf", "-inf", "1e999", "9" * 30, "0x10", "abc", "", "4194304",
+         "4611686018427387904"]
     ) | st.integers(-5, 4096).map(str)
     line = st.builds(
         lambda key, sep, value: f"{key}{sep}{value}",

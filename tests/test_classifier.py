@@ -539,7 +539,7 @@ def long_corpus(tmp_path_factory):
 class TestTrainingThreads:
     # Trains M = 16 and M = 256 bundles through the CLI and prints a digest
     # line per model file. argv[1] "sequential" hides the second CPU, which
-    # makes fit_pair fit LT and CT one after the other.
+    # makes run_pair fit LT and CT one after the other.
     PROBE = (
         "import hashlib, os, sys\n"
         "if sys.argv[1] == 'sequential':\n"

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +315,48 @@ class TestTrainAndClassify:
         assert "error:" in err and "convergence_tol" in err
         assert "Traceback" not in err
 
+    def test_segment_end_past_the_audio_trains_on_whole_files(
+        self, tiny_corpus, bundle_dir, tmp_path
+    ):
+        with open(tiny_corpus.manifest_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        manifest = tmp_path / "to-inf.tsv"
+        manifest.write_text("".join(f"{line}\t0\tinf\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "m"
+        code = run(
+            [
+                "train", "--manifest", str(manifest), "--components", "1",
+                "--seed", "0", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        for piece in ("lt.gmm", "ct.gmm"):
+            assert (out / piece).read_bytes() == (Path(bundle_dir) / piece).read_bytes()
+
+    def test_fft_size_above_the_cap_is_a_data_error(
+        self, bundle_dir, tiny_corpus, tmp_path, capsys
+    ):
+        cfg = tmp_path / "big-fft.cfg"
+        cfg.write_text(f"mfcc.fft_size = {2**22}\n")
+        code = run(
+            [
+                "train", "--manifest", tiny_corpus.manifest_path, "--components", "1",
+                "--out", str(tmp_path / "m"), "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fft_size" in err
+        out = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, out)
+        descriptor = json.loads((out / "bundle.json").read_text(encoding="utf-8"))
+        descriptor["feature_config"]["fft_size"] = 2**22
+        (out / "bundle.json").write_text(json.dumps(descriptor), encoding="utf-8")
+        wav = tiny_corpus.manifest.records[0].audio_path
+        assert run(["classify", "--bundle", str(out), "--audio", wav]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fft_size" in err and "bundle.json" in err
+
     def test_corrupt_bundle_is_a_data_error(self, bundle_dir, tiny_corpus, tmp_path, capsys):
         wav = tiny_corpus.manifest.records[0].audio_path
         assert run(["classify", "--bundle", str(tmp_path / "missing"), "--audio", wav]) == 1
@@ -508,6 +551,20 @@ class TestNasal:
     def test_bad_bounds_are_a_data_error(self, vowel_wav, capsys):
         assert run(["nasal", "--audio", vowel_wav, "--start", "5.0"]) == 1
         assert "segment" in capsys.readouterr().err
+
+    def test_end_past_the_audio_clips_to_its_end(self, vowel_wav, tmp_path):
+        reports = []
+        for bounds in ([], ["--end", "inf"], ["--end", "1e306"]):
+            rec = tmp_path / f"nasal{len(reports)}.jsonl"
+            argv = ["nasal", "--audio", vowel_wav, *bounds, "--format", "records"]
+            assert run([*argv, "--output", str(rec)]) == 0
+            reports.append(rec.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_start_past_the_audio_is_a_data_error(self, vowel_wav, capsys):
+        assert run(["nasal", "--audio", vowel_wav, "--start", "1e305", "--end", "1e306"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_spectra_dump(self, vowel_wav, tmp_path):
         dump = tmp_path / "spectra.txt"

@@ -18,7 +18,6 @@ from dialectid.corpus import (
     hours_to_hms,
     load_manifest,
     read_audio,
-    stats_records,
     validate_split,
     write_manifest,
     write_wav,
@@ -268,21 +267,26 @@ class TestSplitValidation:
             assert report.overlapping_speakers == sorted(train & test)
 
 
+def stats_cells(manifest):
+    """corpus_stats records indexed by (dialect, split)."""
+    return {(r["dialect"], r["split"]): r for r in corpus_stats(manifest)}
+
+
 class TestCorpusStats:
     def test_matches_generator_ground_truth(self, tiny_corpus):
-        stats = corpus_stats(tiny_corpus.manifest)
+        cells = stats_cells(tiny_corpus.manifest)
         for dialect in DialectLabel:
             for split in Split:
                 declared = tiny_corpus.declared["cells"][f"{dialect.value}/{split.value}"]
-                cell = stats.cells[(dialect, split)]
-                assert cell.utterances == declared["utterances"]
-                assert cell.speakers == declared["speakers"]
-                assert cell.male_speakers == declared["male_speakers"]
-                assert cell.female_speakers == declared["female_speakers"]
-                assert cell.duration_hours == pytest.approx(
+                cell = cells[(dialect.value, split.value)]
+                assert cell["utterances"] == declared["utterances"]
+                assert cell["speakers"] == declared["speakers"]
+                assert cell["male_speakers"] == declared["male_speakers"]
+                assert cell["female_speakers"] == declared["female_speakers"]
+                assert cell["duration_hours"] == pytest.approx(
                     declared["duration_hours"], rel=1e-12
                 )
-                assert not cell.partial
+                assert not cell["partial"]
 
     def test_ground_truth_file_round_trips(self, tiny_corpus):
         with open(tiny_corpus.ground_truth_path, encoding="utf-8") as fh:
@@ -299,21 +303,19 @@ class TestCorpusStats:
                 rec(str(bad), "B", DialectLabel.LT, split=Split.TRAIN),
             ]
         )
-        cell = corpus_stats(manifest).cells[(DialectLabel.LT, Split.TRAIN)]
-        assert cell.partial
-        assert cell.unreadable == [str(bad)]
-        assert cell.utterances == 2
-        assert cell.duration_hours == pytest.approx(1.0 / 3600.0)
+        cell = stats_cells(manifest)[("LT", "train")]
+        assert cell["partial"]
+        assert cell["unreadable"] == [str(bad)]
+        assert cell["utterances"] == 2
+        assert cell["duration_hours"] == pytest.approx(1.0 / 3600.0)
 
     def test_stats_do_not_depend_on_record_order(self, tiny_corpus):
         records = list(tiny_corpus.manifest.records)
         shuffled = CorpusManifest(list(reversed(records)))
-        a = stats_records(corpus_stats(tiny_corpus.manifest))
-        b = stats_records(corpus_stats(shuffled))
-        assert a == b
+        assert corpus_stats(tiny_corpus.manifest) == corpus_stats(shuffled)
 
     def test_records_cover_cells_and_totals(self, tiny_corpus):
-        recs = stats_records(corpus_stats(tiny_corpus.manifest))
+        recs = corpus_stats(tiny_corpus.manifest)
         assert len(recs) == 6
         totals = [r for r in recs if r["split"] == "all"]
         assert {r["dialect"] for r in totals} == {"LT", "CT"}
@@ -328,7 +330,7 @@ class TestFormatting:
         assert hours_to_hms(2.0 / 3600.0) == "0:00:02"
 
     def test_text_table_sections(self, tiny_corpus):
-        text = format_stats(stats_records(corpus_stats(tiny_corpus.manifest)))
+        text = format_stats(corpus_stats(tiny_corpus.manifest))
         assert "Corpus totals" in text
         assert "Split breakdown" in text
         assert "h:mm:ss" in text

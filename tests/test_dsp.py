@@ -17,6 +17,7 @@ from dialectid.dsp import (
     _dct_basis,
     CANONICAL_SAMPLE_RATE,
     ENERGY_FLOOR,
+    MAX_FFT_SIZE,
     AudioSignal,
     MfccConfig,
     append_deltas,
@@ -295,6 +296,13 @@ class TestFullPipeline:
         with pytest.raises(ValueError):
             extract_segment(s, 1.0, 0.5)
 
+    def test_segment_bounds_past_the_end_clip_to_it(self):
+        s = sig(np.arange(SR, dtype=np.float64))
+        for end in (1.0, 1.5, 1e306, math.inf):
+            assert np.array_equal(extract_segment(s, 0.5, end).samples, s.samples[8000:])
+        for start in (1.0, 2.0, 1e305):
+            assert extract_segment(s, start, math.inf).samples.size == 0
+
 
 class TestFeatureFiles:
     def test_round_trip_is_exact(self, tmp_path):
@@ -410,8 +418,14 @@ class TestConfigValidation:
             {"num_mel_filters": 258},
             {"delta_window": 2.0},
             {"fft_size": True},
+            {"fft_size": 2 * MAX_FFT_SIZE},
+            {"fft_size": 2**22},
+            {"fft_size": 2**62},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MfccConfig(**kwargs)
+
+    def test_fft_size_cap_is_inclusive(self):
+        assert MfccConfig(fft_size=MAX_FFT_SIZE).fft_size == MAX_FFT_SIZE

@@ -25,12 +25,13 @@ from dialectid.gmm import (
     EXP_CUT,
     GmmModel,
     TrainConfig,
+    TrainingFrames,
     em_fit,
-    fit_pair,
     kmeans_init,
     load_model,
     log_likelihood_segments,
     log_likelihood_sequence,
+    run_pair,
     save_model,
 )
 
@@ -111,11 +112,16 @@ class TestSequenceLikelihood:
             log_likelihood_sequence(model, np.zeros((0, 1)))
 
 
+def seeded_kmeans(data, k, seed, **config):
+    """kmeans_init of data's TrainingFrames under seed, with k components."""
+    return kmeans_init(TrainingFrames(data, seed), TrainConfig(k, rng_seed=seed, **config))
+
+
 class TestKmeansInit:
     def test_single_cluster_closed_form(self):
         rng = np.random.default_rng(24)
         data = rng.standard_normal((200, 3)) * 2.0 + 1.0
-        model = kmeans_init(data, 1, seed=0)
+        model = seeded_kmeans(data, 1, seed=0)
         assert np.array_equal(model.weights, [1.0])
         assert np.allclose(model.means[0], data.mean(axis=0), atol=1e-12)
         assert np.allclose(model.variances[0], data.var(axis=0), atol=1e-12)
@@ -125,7 +131,7 @@ class TestKmeansInit:
         data = np.concatenate(
             [rng.normal(-10.0, 1.0, 100), rng.normal(10.0, 1.0, 100)]
         )[:, None]
-        model = kmeans_init(data, 2, seed=1)
+        model = seeded_kmeans(data, 2, seed=1)
         centers = np.sort(model.means[:, 0])
         assert abs(centers[0] + 10.0) < 0.5
         assert abs(centers[1] - 10.0) < 0.5
@@ -134,15 +140,15 @@ class TestKmeansInit:
     def test_deterministic_for_a_seed(self):
         rng = np.random.default_rng(26)
         data = rng.standard_normal((150, 2))
-        a = kmeans_init(data, 4, seed=7)
-        b = kmeans_init(data, 4, seed=7)
+        a = seeded_kmeans(data, 4, seed=7)
+        b = seeded_kmeans(data, 4, seed=7)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(FewerFramesThanComponents):
-            kmeans_init(np.zeros((3, 2)), 5, seed=0)
+            seeded_kmeans(np.zeros((3, 2)), 5, seed=0)
 
 
 class TestEmFit:
@@ -223,14 +229,19 @@ def assert_same_fit(got, want):
     assert trace == want_trace
 
 
-class TestFitPair:
+class TestPairedFits:
+    """run_pair with em_fit jobs, as train_bundle fits the two dialects."""
+
     CONFIG = TrainConfig(num_components=8, max_em_iterations=5, rng_seed=2)
+
+    def paired_fits(self, lt, ct):
+        return run_pair(lambda: em_fit(lt, self.CONFIG), lambda: em_fit(ct, self.CONFIG))
 
     def test_equals_two_em_fits_on_one_blas_thread(self):
         rng = np.random.default_rng(34)
         lt = rng.standard_normal((900, 5))
         ct = rng.standard_normal((700, 5)) + 1.0
-        got = fit_pair(lt, ct, self.CONFIG)
+        got = self.paired_fits(lt, ct)
         with gmm.one_blas_thread():
             want = em_fit(lt, self.CONFIG), em_fit(ct, self.CONFIG)
         assert_same_fit(got[0], want[0])
@@ -247,20 +258,26 @@ class TestFitPair:
             raise AssertionError("a fallback started a thread")
 
         monkeypatch.setattr(gmm.threading, "Thread", no_thread)
+        rng = np.random.default_rng(37)
+        lt, ct = rng.standard_normal((60, 2)), rng.standard_normal((50, 2))
         fitted = []
-        monkeypatch.setattr(gmm, "em_fit", lambda data, config: fitted.append(data) or data)
-        assert fit_pair("lt", "ct", self.CONFIG) == ("lt", "ct")
+        got = run_pair(
+            lambda: fitted.append("lt") or em_fit(lt, self.CONFIG),
+            lambda: fitted.append("ct") or em_fit(ct, self.CONFIG),
+        )
         assert fitted == ["lt", "ct"]
+        assert_same_fit(got[0], em_fit(lt, self.CONFIG))
+        assert_same_fit(got[1], em_fit(ct, self.CONFIG))
 
     def test_ct_error_is_raised(self):
         rng = np.random.default_rng(35)
         with pytest.raises(FewerFramesThanComponents, match="^5 frames"):
-            fit_pair(rng.standard_normal((50, 2)), rng.standard_normal((5, 2)), self.CONFIG)
+            self.paired_fits(rng.standard_normal((50, 2)), rng.standard_normal((5, 2)))
 
     def test_lt_error_comes_before_ct_error(self):
         rng = np.random.default_rng(36)
         with pytest.raises(FewerFramesThanComponents, match="^4 frames"):
-            fit_pair(rng.standard_normal((4, 2)), rng.standard_normal((6, 2)), self.CONFIG)
+            self.paired_fits(rng.standard_normal((4, 2)), rng.standard_normal((6, 2)))
 
 
 def rel_err(got, want):
@@ -289,7 +306,7 @@ class TestBatchedKernelsAgainstReferences:
         # centers are the means of their own nearest-center assignment.
         rng = np.random.default_rng(m + t)
         data = blob_frames(rng, t, m, spread=10.0)
-        model = kmeans_init(data, m, seed=0)
+        model = seeded_kmeans(data, m, seed=0)
         assignment = reference.nearest_center_ref(data, model.means)
         counts, means, variances = reference.lloyd_update_ref(data, assignment, m)
         floor = np.maximum(1e-3 * data.var(axis=0), 1e-12)
@@ -312,7 +329,7 @@ class TestBatchedKernelsAgainstReferences:
     def test_em_iteration_matches_double_loop(self, m, t):
         rng = np.random.default_rng(m * t)
         data = blob_frames(rng, t, m // 2, spread=1.5)
-        init = kmeans_init(data, m, seed=0, max_iterations=8)
+        init = seeded_kmeans(data, m, seed=0, kmeans_max_iterations=8)
         frame_ll, resp, occupancy, first, second = reference.em_iteration_ref(
             data, init.weights, init.means, init.variances
         )
