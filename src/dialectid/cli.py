@@ -386,7 +386,7 @@ def cmd_stats(args, kv) -> int:
 
 
 def cmd_synth(args, kv) -> int:
-    # Imported here so that no other subcommand pays for importing scipy.signal.
+    # Imported here: no other subcommand needs the generator.
     from .synth import generate_synthetic_corpus
 
     result = generate_synthetic_corpus(

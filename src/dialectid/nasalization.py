@@ -21,6 +21,7 @@ from .errors import ConfigError, DegenerateFrame, EmptyReportError, UnstableFram
 from .labels import DialectLabel
 
 COMPARABLE_MARGIN_DB = 0.5
+SPECTRUM_BLOCK_BINS = 2**18  # LP spectrum values held at once: 2 MB of float64
 
 
 @dataclass
@@ -254,9 +255,9 @@ def _median(values: np.ndarray) -> float:
 
 def _lp_analysis(
     signal: AudioSignal, config: NasalConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(frames per LP status, indices of analyzable frames, their LP spectra
-    in dB).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(frames per LP status, indices of analyzable frames, their LP
+    coefficients, their gains).
 
     The counts are indexed by LP_OK, LP_DEGENERATE and LP_UNSTABLE.
     Degenerate and unstable frames are left out; the indices keep their
@@ -269,7 +270,7 @@ def _lp_analysis(
     coefficients, gains, status = _levinson_batch(r, config.lpc_order)
     ok = np.flatnonzero(status == LP_OK)
     by_status = np.bincount(status, minlength=LP_UNSTABLE + 1)
-    return by_status, ok, _lp_spectra_db(coefficients[ok], gains[ok], config.fft_size)
+    return by_status, ok, coefficients[ok], gains[ok]
 
 
 def segment_lp_spectra(
@@ -281,29 +282,41 @@ def segment_lp_spectra(
     the original frame sequence.
     """
     config = config or NasalConfig()
-    _, indices, spectra = _lp_analysis(signal, config)
+    _, indices, coefficients, gains = _lp_analysis(signal, config)
+    spectra = _lp_spectra_db(coefficients, gains, config.fft_size)
     freqs = spectrum_frequencies(config.fft_size, signal.sample_rate)
     return freqs, list(zip(indices.tolist(), spectra))
 
 
 def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> NasalizationReport:
-    """Frame-by-frame low-band peak analysis of one segment."""
+    """Frame-by-frame low-band peak analysis of one segment.
+
+    Spectra are made and searched SPECTRUM_BLOCK_BINS values at a time, so
+    memory stays flat in the segment's length at any fft_size.
+    """
     config = config or NasalConfig()
-    by_status, indices, spectra = _lp_analysis(signal, config)
+    by_status, indices, coefficients, gains = _lp_analysis(signal, config)
     num_frames = int(by_status.sum())
     degenerate, unstable = by_status[[LP_DEGENERATE, LP_UNSTABLE]].tolist()
     if indices.size == 0:
         return NasalizationReport([], num_frames, 0, degenerate, unstable, None, None, 0.0)
     rate = signal.sample_rate
-    try:
-        bins, hits = _band_peaks(spectra, config.fft_size, rate, config)
-    except ValueError as exc:
-        raise ConfigError(
-            f"nasal band {config.band_low_hz}-{config.band_high_hz} Hz with "
-            f"fft_size {config.fft_size} at {rate} Hz: {exc}"
-        ) from None
+    block = max(1, SPECTRUM_BLOCK_BINS // (config.fft_size // 2 + 1))
+    bins = np.empty(indices.size, dtype=np.intp)
+    hits = np.empty(indices.size, dtype=bool)
+    peak_db = np.empty(indices.size)
+    for start in range(0, indices.size, block):
+        rows = slice(start, start + block)
+        spectra = _lp_spectra_db(coefficients[rows], gains[rows], config.fft_size)
+        try:
+            bins[rows], hits[rows] = _band_peaks(spectra, config.fft_size, rate, config)
+        except ValueError as exc:
+            raise ConfigError(
+                f"nasal band {config.band_low_hz}-{config.band_high_hz} Hz with "
+                f"fft_size {config.fft_size} at {rate} Hz: {exc}"
+            ) from None
+        peak_db[rows] = spectra[np.arange(spectra.shape[0]), bins[rows]]
     peak_hz = bins * rate / config.fft_size
-    peak_db = spectra[np.arange(bins.size), bins]
     frame_peaks = [
         FramePeak(*peak)
         for peak in zip(indices.tolist(), peak_hz.tolist(), peak_db.tolist(), hits.tolist())

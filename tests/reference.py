@@ -317,3 +317,29 @@ def voiced_vowel(rng, num_samples, sample_rate=16000, pole_hz=250.0, radius=0.97
     )
     x = lfilter([1.0], denom, exc)[512:]
     return x * (0.4 / np.abs(x).max())
+
+
+def ar_noise_ref(rng, num_samples, center_hz, radius, sample_rate, peak=0.4, warmup=512):
+    """White noise through lfilter's two-pole resonator, warm-up dropped,
+    peak-normalized: the synthetic generator's per-segment noise."""
+    drive = rng.standard_normal(num_samples + warmup)
+    shaped = lfilter([1.0], two_pole(center_hz, radius, sample_rate), drive)[warmup:]
+    top = np.abs(shaped).max()
+    return shaped * (peak / top) if top > 0.0 else shaped
+
+
+def wandering_noise_ref(rng, num_samples, center_hz, radius, sample_rate,
+                        peak=0.4, wander=0.3, segment_seconds=0.15):
+    """One ar_noise_ref segment per segment_seconds, each with its center
+    redrawn within +/- wander, joined and peak-normalized again."""
+    seg_len = max(1, int(segment_seconds * sample_rate))
+    chunks = []
+    got = 0
+    while got < num_samples:
+        seg_center = center_hz * (1.0 + rng.uniform(-wander, wander))
+        take = min(seg_len, num_samples - got)
+        chunks.append(ar_noise_ref(rng, take, seg_center, radius, sample_rate, peak))
+        got += take
+    samples = np.concatenate(chunks)
+    top = np.abs(samples).max()
+    return samples * (peak / top) if top > 0.0 else samples

@@ -728,7 +728,7 @@ class TestSynth:
 
 class TestStartup:
     def test_cli_import_leaves_scipy_signal_unloaded(self):
-        # scipy.signal takes most of a bare CLI start; only synthesis needs it.
+        # scipy.signal would be most of any process's start-up; no command needs it.
         src = os.path.dirname(os.path.dirname(dialectid.__file__))
         probe = "import sys, dialectid.cli; print('scipy.signal' in sys.modules)"
         done = subprocess.run(

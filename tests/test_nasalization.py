@@ -2,6 +2,7 @@
 spectra, per-frame peak gating, and segment comparison."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -301,6 +302,37 @@ class TestSpectrumDump:
         assert indices == sorted(indices)
         assert all(s.shape == (513,) for _, s in spectra)
         assert freqs.shape == (513,)
+
+    def test_blocks_leave_the_report_and_the_dump_unchanged(self, monkeypatch):
+        # One frame per block against the whole segment in one block.
+        x = reference.voiced_vowel(np.random.default_rng(6), 12000)
+        x[3000:5000] = 0.0
+        sig = AudioSignal(x, SR)
+        config = NasalConfig(fft_size=4096)
+        whole = analyze_segment(sig, config)
+        freqs, spectra = segment_lp_spectra(sig, config)
+        monkeypatch.setattr(nasalization, "SPECTRUM_BLOCK_BINS", 1)
+        assert repr(analyze_segment(sig, config)) == repr(whole)
+        blocked_freqs, blocked = segment_lp_spectra(sig, config)
+        assert len(blocked) == whole.num_analyzed == len(spectra)
+        assert np.array_equal(blocked_freqs, freqs)
+        for (t, s), (u, v) in zip(blocked, spectra):
+            assert t == u and np.array_equal(s, v)
+
+    def test_peak_memory_does_not_grow_with_frames_at_the_largest_fft(self):
+        # At fft_size 65536 a spectrum row is 256 KB, so holding every
+        # frame's at once would take ~50 MB for 2 s and ~100 MB for 4 s.
+        peaks = []
+        for seconds in (2, 4):
+            sig = vowel(seed=seconds, num_samples=seconds * SR)
+            tracemalloc.start()
+            try:
+                report = analyze_segment(sig, NasalConfig(fft_size=65536))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.num_analyzed > 190
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_silence_dumps_nothing(self):
         freqs, spectra = segment_lp_spectra(AudioSignal(np.zeros(8000), SR))
