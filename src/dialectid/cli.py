@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from .classifier import (
     SWEEP_COMPONENTS,
@@ -61,7 +62,6 @@ from .nasalization import (
     NasalConfig,
     analyze_segment,
     compare_degree,
-    segment_lp_spectra,
 )
 
 _SECTIONS = {"mfcc": MfccConfig, "train": TrainConfig, "nasal": NasalConfig}
@@ -311,16 +311,6 @@ def _load_segment(path, start, end):
     return signal
 
 
-def _write_spectra(path, freqs, spectra) -> None:
-    """One block per frame: "# frame N", then "frequency dB" lines at full
-    float precision (repr), then a blank line."""
-    prefixes = [f"{f!r} " for f in freqs.tolist()]
-    with atomic_open(path) as fh:
-        for index, db in spectra:
-            body = "\n".join(map(str.__add__, prefixes, map(repr, db.tolist())))
-            fh.write(f"# frame {index}\n{body}\n\n")
-
-
 def cmd_nasal(args, kv) -> int:
     config = _config(kv, "nasal")
     paired = args.lt_audio is not None or args.ct_audio is not None
@@ -351,14 +341,11 @@ def cmd_nasal(args, kv) -> int:
                 "difference_db": verdict.difference_db,
             }
         )
-        _emit(args, records, _nasal_text(records))
-        return 0
-
-    signal = _load_segment(args.audio, args.start, args.end)
-    report = analyze_segment(signal, config)
-    if args.dump_spectra:
-        _write_spectra(args.dump_spectra, *segment_lp_spectra(signal, config))
-    records = _nasal_records("segment", report)
+    else:
+        signal = _load_segment(args.audio, args.start, args.end)
+        with atomic_open(args.dump_spectra) if args.dump_spectra else nullcontext() as dump:
+            report = analyze_segment(signal, config, dump)
+        records = _nasal_records("segment", report)
     _emit(args, records, _nasal_text(records))
     return 0
 

@@ -150,17 +150,21 @@ def write_manifest(manifest: CorpusManifest, path) -> None:
             fh.write("\n")
 
 
-def read_audio(path) -> AudioSignal:
-    """Read a 16-bit PCM mono 16 kHz WAV file into [-1, 1) float samples."""
+def _open_wav(path) -> wave.Wave_read:
+    """wave.open(path, "rb"), any header it cannot parse an AudioFormatError."""
     try:
-        wf = wave.open(str(path), "rb")
+        return wave.open(str(path), "rb")
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: not a readable PCM WAV file ({exc})") from None
     except (EOFError, RuntimeError):
         # The wave module raises RuntimeError for a chunk that claims more
         # bytes than the file holds.
         raise AudioFormatError(f"{path}: truncated WAV file") from None
-    with wf:
+
+
+def read_audio(path) -> AudioSignal:
+    """Read a 16-bit PCM mono 16 kHz WAV file into [-1, 1) float samples."""
+    with _open_wav(path) as wf:
         if wf.getcomptype() != "NONE":
             raise AudioFormatError(f"{path}: compressed WAV is not supported")
         if wf.getnchannels() != 1:
@@ -195,14 +199,11 @@ def write_wav(path, signal: AudioSignal) -> None:
 
 def audio_duration_s(path) -> float:
     """Duration from the WAV header alone; cheap enough for whole corpora."""
-    try:
-        with wave.open(str(path), "rb") as wf:
-            rate = wf.getframerate()
-            if rate <= 0:
-                raise AudioFormatError(f"{path}: invalid sample rate in header")
-            return wf.getnframes() / rate
-    except (wave.Error, EOFError) as exc:
-        raise AudioFormatError(f"{path}: unreadable WAV header ({exc})") from None
+    with _open_wav(path) as wf:
+        rate = wf.getframerate()
+        if rate <= 0:
+            raise AudioFormatError(f"{path}: invalid sample rate in header")
+        return wf.getnframes() / rate
 
 
 @dataclass

@@ -7,12 +7,17 @@ peak is the in-band spectral maximum; it counts as "detected" when it is a
 local maximum whose height clears the nearest spectral valleys on both
 sides by a prominence threshold. Frame counts, median peak location and
 magnitude, and the detected fraction summarize a segment, and two segments
-can be compared by median peak magnitude.
+can be compared by median peak magnitude. One batched pass fits every frame;
+the LP spectra are then made SPECTRUM_BLOCK_BINS values at a time, and each
+block is searched and written to the optional spectra dump before the next
+is made, so memory stays flat in the segment's length.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -155,18 +160,28 @@ def _lp_spectra_db(coefficients: np.ndarray, gains: np.ndarray, fft_size: int) -
     return 10.0 * np.log10(gains[:, None] / denom)
 
 
+def _band_bins(width: int, fft_size: int, rate: int, config: NasalConfig) -> tuple[int, int, int]:
+    """(first and last bin of the band, prominence span in bins) in spectra
+    of width bins; ConfigError when the band holds no bin."""
+    lo = max(int(np.ceil(config.band_low_hz * fft_size / rate)), 0)
+    hi = min(int(np.floor(config.band_high_hz * fft_size / rate)), width - 1)
+    if lo > hi:
+        raise ConfigError(
+            f"nasal band {config.band_low_hz}-{config.band_high_hz} Hz with fft_size {fft_size} "
+            f"at {rate} Hz: search band contains no FFT bins at this resolution"
+        )
+    # A span past the spectrum's width finds the same minima as the width.
+    span = max(1, min(round(config.prominence_span_hz * fft_size / rate), width))
+    return lo, hi, span
+
+
 def _band_peaks(
-    db: np.ndarray, fft_size: int, sample_rate: int, config: NasalConfig
+    db: np.ndarray, band: tuple[int, int, int], prominence_db: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(peak bin, detected) for every row of db; see find_band_peak."""
+    lo, hi, span = band
     width = db.shape[1]
-    lo = max(int(np.ceil(config.band_low_hz * fft_size / sample_rate)), 0)
-    hi = min(int(np.floor(config.band_high_hz * fft_size / sample_rate)), width - 1)
-    if lo > hi:
-        raise ValueError("search band contains no FFT bins at this resolution")
     p = lo + np.argmax(db[:, lo : hi + 1], axis=1)
-    # A span past the spectrum's width finds the same minima as the width.
-    span = max(1, min(round(config.prominence_span_hz * fft_size / sample_rate), width))
     # Windows run from the peak outwards; the +inf padding past either end
     # of the spectrum never wins a minimum.
     padded = np.pad(db, ((0, 0), (span, span)), constant_values=np.inf)
@@ -176,7 +191,7 @@ def _band_peaks(
     top = left[:, 0]
     local_max = ((p == 0) | (top >= left[:, 1])) & ((p == width - 1) | (top >= right[:, 1]))
     prominence = top - np.maximum(left.min(axis=1), right.min(axis=1))
-    return p, local_max & (prominence >= config.prominence_db)
+    return p, local_max & (prominence >= prominence_db)
 
 
 def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
@@ -240,7 +255,8 @@ def find_band_peak(
     high-order LP fits add small wiggles around a real resonance.
     """
     db = np.asarray(db, dtype=np.float64)
-    p, detected = _band_peaks(db[None, :], fft_size, sample_rate, config)
+    band = _band_bins(db.size, fft_size, sample_rate, config)
+    p, detected = _band_peaks(db[None, :], band, config.prominence_db)
     p = int(p[0])
     return p * sample_rate / fft_size, float(db[p]), bool(detected[0])
 
@@ -255,9 +271,10 @@ def _median(values: np.ndarray) -> float:
 
 def _lp_analysis(
     signal: AudioSignal, config: NasalConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(frames per LP status, indices of analyzable frames, their LP
-    coefficients, their gains).
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
+    """(frames per LP status, indices of analyzable frames, their LP spectra
+    in dB as (rows of the indices, spectra) blocks of at most
+    SPECTRUM_BLOCK_BINS values, each made when the iterator reaches it).
 
     The counts are indexed by LP_OK, LP_DEGENERATE and LP_UNSTABLE.
     Degenerate and unstable frames are left out; the indices keep their
@@ -269,53 +286,57 @@ def _lp_analysis(
     r = _autocorrelations(frames, config.lpc_order)
     coefficients, gains, status = _levinson_batch(r, config.lpc_order)
     ok = np.flatnonzero(status == LP_OK)
-    by_status = np.bincount(status, minlength=LP_UNSTABLE + 1)
-    return by_status, ok, coefficients[ok], gains[ok]
+    coefficients, gains = coefficients[ok], gains[ok]
+    step = max(1, SPECTRUM_BLOCK_BINS // (config.fft_size // 2 + 1))
+    rows = (slice(start, start + step) for start in range(0, ok.size, step))
+    blocks = ((at, _lp_spectra_db(coefficients[at], gains[at], config.fft_size)) for at in rows)
+    return np.bincount(status, minlength=LP_UNSTABLE + 1), ok, blocks
 
 
 def segment_lp_spectra(
     signal: AudioSignal, config: NasalConfig | None = None
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """(frequencies, [(frame_index, spectrum_db), ...]) for plottable dumps.
+    """(frequencies, [(frame_index, spectrum_db), ...]), gathered from the
+    blocks that analyze_segment searches.
 
     Degenerate or unstable frames are skipped; indices keep their place in
     the original frame sequence.
     """
     config = config or NasalConfig()
-    _, indices, coefficients, gains = _lp_analysis(signal, config)
-    spectra = _lp_spectra_db(coefficients, gains, config.fft_size)
-    freqs = spectrum_frequencies(config.fft_size, signal.sample_rate)
-    return freqs, list(zip(indices.tolist(), spectra))
+    _, indices, blocks = _lp_analysis(signal, config)
+    spectra = [pair for rows, block in blocks for pair in zip(indices[rows].tolist(), block)]
+    return spectrum_frequencies(config.fft_size, signal.sample_rate), spectra
 
 
-def analyze_segment(signal: AudioSignal, config: NasalConfig | None = None) -> NasalizationReport:
+def analyze_segment(
+    signal: AudioSignal, config: NasalConfig | None = None, dump: TextIO | None = None
+) -> NasalizationReport:
     """Frame-by-frame low-band peak analysis of one segment.
 
-    Spectra are made and searched SPECTRUM_BLOCK_BINS values at a time, so
-    memory stays flat in the segment's length at any fft_size.
+    dump, when given, gets each analyzed frame's LP spectrum as it is made,
+    the spectra segment_lp_spectra returns: a "# frame N" line, one
+    "frequency dB" line per bin at full float precision (repr), a blank line.
     """
     config = config or NasalConfig()
-    by_status, indices, coefficients, gains = _lp_analysis(signal, config)
+    rate = signal.sample_rate
+    band = _band_bins(config.fft_size // 2 + 1, config.fft_size, rate, config)
+    by_status, indices, blocks = _lp_analysis(signal, config)
     num_frames = int(by_status.sum())
     degenerate, unstable = by_status[[LP_DEGENERATE, LP_UNSTABLE]].tolist()
     if indices.size == 0:
         return NasalizationReport([], num_frames, 0, degenerate, unstable, None, None, 0.0)
-    rate = signal.sample_rate
-    block = max(1, SPECTRUM_BLOCK_BINS // (config.fft_size // 2 + 1))
     bins = np.empty(indices.size, dtype=np.intp)
     hits = np.empty(indices.size, dtype=bool)
     peak_db = np.empty(indices.size)
-    for start in range(0, indices.size, block):
-        rows = slice(start, start + block)
-        spectra = _lp_spectra_db(coefficients[rows], gains[rows], config.fft_size)
-        try:
-            bins[rows], hits[rows] = _band_peaks(spectra, config.fft_size, rate, config)
-        except ValueError as exc:
-            raise ConfigError(
-                f"nasal band {config.band_low_hz}-{config.band_high_hz} Hz with "
-                f"fft_size {config.fft_size} at {rate} Hz: {exc}"
-            ) from None
+    if dump is not None:
+        prefixes = [f"{f!r} " for f in spectrum_frequencies(config.fft_size, rate).tolist()]
+    for rows, spectra in blocks:
+        bins[rows], hits[rows] = _band_peaks(spectra, band, config.prominence_db)
         peak_db[rows] = spectra[np.arange(spectra.shape[0]), bins[rows]]
+        if dump is not None:
+            for index, db in zip(indices[rows].tolist(), spectra):
+                body = "\n".join(map(str.__add__, prefixes, map(repr, db.tolist())))
+                dump.write(f"# frame {index}\n{body}\n\n")
     peak_hz = bins * rate / config.fft_size
     frame_peaks = [
         FramePeak(*peak)

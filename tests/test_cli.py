@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 import dialectid
 import reference
+from dialectid import nasalization
 from dialectid.cli import run
 from dialectid.corpus import Split, load_manifest, read_audio, write_manifest, write_wav
 from dialectid.dsp import AudioSignal, MfccConfig, extract_features, extract_segment, read_features
@@ -636,6 +638,66 @@ class TestNasal:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("audio", ["silent", "voiced"])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_band_is_checked_before_any_frame(self, vowel_wav, tmp_path, capsys, audio, paired):
+        # 150-151 Hz falls between the 15.625 Hz bins of a 1024-point FFT.
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("nasal.band_low_hz = 150\nnasal.band_high_hz = 151\n")
+        wav = vowel_wav
+        if audio == "silent":
+            wav = str(tmp_path / "silent.wav")
+            write_wav(wav, AudioSignal(np.zeros(8000), SR))
+        inputs = ["--lt-audio", wav, "--ct-audio", wav] if paired else ["--audio", wav]
+        assert run(["nasal", *inputs, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no FFT bins" in err
+
+    def test_dump_runs_one_lp_analysis(self, vowel_wav, tmp_path, monkeypatch):
+        calls = []
+        real_levinson = nasalization._levinson_batch
+
+        def counted(r, order):
+            calls.append(r.shape[0])
+            return real_levinson(r, order)
+
+        monkeypatch.setattr(nasalization, "_levinson_batch", counted)
+        dump = tmp_path / "spectra.txt"
+        argv = ["nasal", "--audio", vowel_wav, "--dump-spectra", str(dump)]
+        assert run([*argv, "--output", str(tmp_path / "report.txt")]) == 0
+        assert calls == [99]
+
+    def test_dump_memory_is_flat_in_segment_length(self, tmp_path, monkeypatch):
+        # With one frame per block the dump holds one spectrum at a time, so
+        # what --dump-spectra adds to the tracemalloc peak of the same run
+        # without it must not grow from a 2 s to a 4 s segment. Holding every
+        # spectrum would add 257 float64 values (fft_size 512) for each of
+        # the 200 extra frames; a tenth of that is far above the few KB the
+        # peaks vary by. (Each run's own peak grows with the signal and its
+        # frames, which the report needs too.)
+        monkeypatch.setattr(nasalization, "SPECTRUM_BLOCK_BINS", 1)
+        cfg = tmp_path / "fft.cfg"
+        cfg.write_text("nasal.fft_size = 512\n")
+        report = ["--config", str(cfg), "--output", str(tmp_path / "report.txt")]
+        dump = ["--dump-spectra", str(tmp_path / "spectra.txt")]
+        added = []
+        for seconds in (2, 4):
+            wav = str(tmp_path / f"vowel{seconds}.wav")
+            rng = np.random.default_rng(seconds)
+            write_wav(wav, AudioSignal(reference.voiced_vowel(rng, seconds * SR), SR))
+            if seconds == 2:
+                assert run(["nasal", "--audio", wav, *report]) == 0  # warm-up
+            peaks = []
+            for extra in ([], dump):
+                tracemalloc.start()
+                try:
+                    assert run(["nasal", "--audio", wav, *report, *extra]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            added.append(peaks[1] - peaks[0])
+        assert added[1] - added[0] < 0.1 * 200 * 257 * 8
+
     def test_band_without_fft_bins_is_a_data_error(self, vowel_wav, tmp_path, capsys):
         # A 32-point FFT at 16 kHz has bins every 500 Hz: none in 150-400 Hz.
         cfg = tmp_path / "coarse.cfg"
@@ -696,6 +758,21 @@ class TestValidateAndStats:
         out = capsys.readouterr().out
         assert "Corpus totals" in out and "hours" in out
 
+
+    def test_stats_lists_a_wav_whose_chunk_outruns_the_file(self, tmp_path, capsys):
+        path = tmp_path / "overlong.wav"
+        write_wav(str(path), AudioSignal(np.zeros(10), SR))
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = (200).to_bytes(4, "little")  # fmt chunk runs past the end
+        path.write_bytes(bytes(blob))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{path}\tspk\tLT\tmale\ttrain\n", encoding="utf-8")
+        rec = tmp_path / "stats.jsonl"
+        argv = ["stats", "--manifest", str(manifest), "--format", "records", "--output", str(rec)]
+        assert run(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cell = next(r for r in records_from(rec) if (r["dialect"], r["split"]) == ("LT", "train"))
+        assert cell["partial"] and cell["unreadable"] == [str(path)]
 
     def test_non_utf8_manifest_is_a_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.tsv"

@@ -204,6 +204,8 @@ class TestWavIo:
         path.write_bytes(bytes(blob))
         with pytest.raises(AudioFormatError, match="truncated"):
             read_audio(path)
+        with pytest.raises(AudioFormatError, match="truncated"):
+            audio_duration_s(path)
 
     def test_duration_from_header(self, tmp_path):
         path = tmp_path / "a.wav"

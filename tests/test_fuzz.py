@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dialectid import cli
 from dialectid.classifier import BUNDLE_DESCRIPTOR, load_bundle
-from dialectid.corpus import load_manifest, read_audio
+from dialectid.corpus import audio_duration_s, load_manifest, read_audio
 from dialectid.errors import DialectIdError
 from fuzz_inputs import config_texts, edited_json, manifest_texts, mutations, wav_bytes, wav_headers
 
@@ -96,6 +96,17 @@ class TestReaders:
         assert ((signal.samples >= -1.0) & (signal.samples < 1.0)).all()
 
     @FUZZ
+    @given(blob=WAVS)
+    def test_audio_duration(self, tmp_path, blob):
+        path = tmp_path / "a.wav"
+        path.write_bytes(blob)
+        try:
+            duration = audio_duration_s(path)
+        except DialectIdError:
+            return
+        assert duration >= 0.0
+
+    @FUZZ
     @given(data=st.data())
     def test_bundle(self, bundle_template, tmp_path, data):
         blob = data.draw(bundle_descriptors(bundle_template))
@@ -129,10 +140,16 @@ class TestCommandLine:
                 argv = ["validate", "--manifest", path]
             elif kind == "config":
                 argv = ["extract", "--audio", wav, "--out", features, "--config", path]
-            elif data.draw(st.booleans()):
-                argv = ["extract", "--audio", path, "--out", features]
             else:
-                argv = ["nasal", "--audio", path]
+                wav_command = data.draw(st.sampled_from(["extract", "nasal", "stats"]))
+                if wav_command == "extract":
+                    argv = ["extract", "--audio", path, "--out", features]
+                elif wav_command == "nasal":
+                    argv = ["nasal", "--audio", path]
+                else:
+                    manifest = tmp_path / "m.tsv"
+                    manifest.write_text(f"{path}\tspk\tLT\tmale\ttrain\n", encoding="utf-8")
+                    argv = ["stats", "--manifest", str(manifest)]
         capsys.readouterr()
         assert cli.run(argv) in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
