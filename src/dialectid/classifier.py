@@ -32,12 +32,11 @@ from .gmm import (
     run_pair,
     save_model,
 )
-from .labels import DialectLabel
+from .labels import SWEEP_COMPONENTS, DialectLabel
 
 BUNDLE_DESCRIPTOR = "bundle.json"
 _LT_MODEL_NAME = "lt.gmm"
 _CT_MODEL_NAME = "ct.gmm"
-SWEEP_COMPONENTS = (16, 32, 64, 128, 256)
 
 
 @dataclass(eq=False)

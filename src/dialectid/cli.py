@@ -17,27 +17,23 @@ model, failed validation), 2 usage error. Reports go to stdout or --output,
 as plain text or line-delimited JSON records (--format records). Identical
 argv + input files + seed reproduce identical outputs byte for byte, except
 for the wall-clock times in sweep reports.
+
+Each command imports only the modules it runs. main(), the `dialectid`
+command, flushes stdout and stderr once run() returns and ends the process
+with os._exit, skipping interpreter teardown; run(argv) behaves as before.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
-from .classifier import (
-    SWEEP_COMPONENTS,
-    evaluate,
-    classify_utterance,
-    load_bundle,
-    save_bundle,
-    sweep_mixtures,
-    train_bundle,
-)
 from .corpus import (
     CorpusManifest,
     Split,
@@ -47,28 +43,33 @@ from .corpus import (
     read_audio,
     validate_split,
 )
-from .dsp import (
-    CANONICAL_SAMPLE_RATE,
-    MfccConfig,
-    extract_features,
-    extract_segment,
-    write_features,
-    write_features_csv,
-)
+from .dsp import CANONICAL_SAMPLE_RATE, extract_features, extract_segment, write_features, write_features_csv
 from .errors import ConfigError, DialectIdError, ManifestError
 from .fileio import atomic_open
-from .gmm import TrainConfig
-from .nasalization import (
-    NasalConfig,
-    analyze_segment,
-    compare_degree,
-)
+from .labels import SWEEP_COMPONENTS
 
-_SECTIONS = {"mfcc": MfccConfig, "train": TrainConfig, "nasal": NasalConfig}
-# The mixture size is left out: only --components sets it.
-_CONFIG_KEYS = {
-    f"{section}.{f.name}" for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
-} - {"train.num_components"}
+# Config section -> (module, config class). A module is imported only when a
+# config file names its section or a command builds that config.
+_SECTIONS = {"mfcc": ("dsp", "MfccConfig"), "train": ("gmm", "TrainConfig"),
+             "nasal": ("nasalization", "NasalConfig")}
+
+
+def _section_class(section: str):
+    module, name = _SECTIONS[section]
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def _section_keys(section: str) -> set[str]:
+    keys = {f"{section}.{f.name}" for f in dataclasses.fields(_section_class(section))}
+    # The mixture size is left out: only --components sets it.
+    return keys - {"train.num_components"}
+
+
+def __getattr__(name: str):
+    """_CONFIG_KEYS, made on use so that importing cli imports no gmm or nasalization."""
+    if name == "_CONFIG_KEYS":
+        return set().union(*map(_section_keys, _SECTIONS))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_config(path) -> dict[str, str]:
@@ -91,7 +92,8 @@ def _load_config(path) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"{path} line {lineno}: expected key = value")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        section = key.partition(".")[0]
+        if section not in _SECTIONS or key not in _section_keys(section):
             raise ConfigError(f"{path}: unknown config key {key!r}")
         if key in key_lines:
             raise ConfigError(f"{path}: {key!r} is set on line {key_lines[key]} and line {lineno}")
@@ -106,7 +108,7 @@ def _load_config(path) -> dict[str, str]:
 
 def _config(kv: dict[str, str], section: str, **overrides):
     """The section's config from its keys in kv, then the overrides."""
-    cls = _SECTIONS[section]
+    cls = _section_class(section)
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = f"{section}.{f.name}"
@@ -125,7 +127,7 @@ def _config(kv: dict[str, str], section: str, **overrides):
         raise ConfigError(f"invalid {section} configuration: {exc}") from None
 
 
-def _train_config(args, kv, num_components: int) -> TrainConfig:
+def _train_config(args, kv, num_components: int):
     seed = {} if args.seed is None else {"rng_seed": args.seed}
     return _config(kv, "train", num_components=num_components, **seed)
 
@@ -139,6 +141,8 @@ def _emit(args, records: list[dict], text: str) -> None:
     if args.output:
         with atomic_open(args.output) as fh:
             fh.write(payload)
+    elif sys.stdout is None:
+        raise DialectIdError("standard output is closed")
     else:
         sys.stdout.write(payload)
 
@@ -166,6 +170,7 @@ def cmd_extract(args, kv) -> int:
 
 
 def cmd_train(args, kv) -> int:
+    from .classifier import save_bundle, train_bundle
     manifest = load_manifest(args.manifest)
     _check_speaker_discipline(manifest, manifest)
     feature_config = _config(kv, "mfcc")
@@ -183,6 +188,7 @@ def cmd_train(args, kv) -> int:
 
 
 def cmd_classify(args, kv) -> int:
+    from .classifier import classify_utterance, load_bundle
     bundle = load_bundle(args.bundle)
     decision = classify_utterance(bundle, read_audio(args.audio))
     record = {
@@ -198,6 +204,7 @@ def cmd_classify(args, kv) -> int:
 
 
 def cmd_evaluate(args, kv) -> int:
+    from .classifier import evaluate, load_bundle
     bundle = load_bundle(args.bundle)
     manifest = load_manifest(args.manifest)
     _check_speaker_discipline(manifest, manifest)
@@ -237,6 +244,7 @@ def cmd_evaluate(args, kv) -> int:
 
 
 def cmd_sweep(args, kv) -> int:
+    from .classifier import sweep_mixtures
     train_manifest = load_manifest(args.manifest)
     test_manifest = (
         load_manifest(args.test_manifest) if args.test_manifest else train_manifest
@@ -312,6 +320,7 @@ def _load_segment(path, start, end):
 
 
 def cmd_nasal(args, kv) -> int:
+    from .nasalization import analyze_segment, compare_degree
     config = _config(kv, "nasal")
     paired = args.lt_audio is not None or args.ct_audio is not None
     if paired and (args.lt_audio is None or args.ct_audio is None):
@@ -373,9 +382,7 @@ def cmd_stats(args, kv) -> int:
 
 
 def cmd_synth(args, kv) -> int:
-    # Imported here: no other subcommand needs the generator.
     from .synth import generate_synthetic_corpus
-
     result = generate_synthetic_corpus(
         args.out,
         seed=args.seed if args.seed is not None else 0,
@@ -541,7 +548,21 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The `dialectid` command: run(), flush stdout and stderr, exit without teardown.
+    Output files are closed and worker threads joined before run() returns."""
+    status = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # A report that cannot be written fails the command, with one error line.
+        if status == 0 and sys.stderr is not None:
+            print(f"error: {exc}", file=sys.stderr)
+        status = status or 1
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Dialect labels shared across corpus handling, classification, and reports."""
+"""Dialect labels and the sweep's mixture sizes, shared across the package."""
 
 from enum import Enum
 
@@ -11,3 +11,7 @@ class DialectLabel(str, Enum):
 
     LT = "LT"
     CT = "CT"
+
+
+# Components per dialect in the sweep; here so `dialectid` reads it without gmm.
+SWEEP_COMPONENTS = (16, 32, 64, 128, 256)

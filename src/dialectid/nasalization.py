@@ -26,7 +26,7 @@ from .errors import ConfigError, DegenerateFrame, EmptyReportError, UnstableFram
 from .labels import DialectLabel
 
 COMPARABLE_MARGIN_DB = 0.5
-SPECTRUM_BLOCK_BINS = 2**18  # LP spectrum values held at once: 2 MB of float64
+SPECTRUM_BLOCK_BINS = 2**18  # LP spectrum values made at once; peak ~18.3 bytes each, ~4.8 MB
 
 
 @dataclass

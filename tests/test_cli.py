@@ -803,70 +803,168 @@ class TestSynth:
         assert (tmp_path / "c" / "manifest.tsv").read_bytes() == first
 
 
+SRC = os.path.dirname(os.path.dirname(dialectid.__file__))
+# The console script's entry point, and run() alone, as `python -c` programs.
+MAIN = "import sys; from dialectid.cli import main; sys.argv[0] = 'dialectid'; main()"
+RUN = "import sys; from dialectid.cli import run; sys.exit(run(sys.argv[1:]))"
+# Runs one command (its report goes to --output) and prints the dialectid modules loaded.
+LOADED = (
+    "import sys; from dialectid.cli import run; status = run(sys.argv[1:]); "
+    "print(*sorted(m for m in sys.modules if m.startswith('dialectid.'))); sys.exit(status)"
+)
+
+
+def _python(code, *argv, prefix=(), unbuffered=False, **kwargs):
+    """`python -c code argv...` with dialectid on the path; stdout and stderr as text."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [*prefix, sys.executable, "-c", code, *argv],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        **kwargs,
+    )
+
+
+def _test_wav(tiny_corpus):
+    return next(r.audio_path for r in tiny_corpus.manifest.records if r.split is Split.TEST)
+
+
+@pytest.fixture(scope="module")
+def long_vowel_wav(tmp_path_factory):
+    """8 s of vowel: its nasal records (~800 frames) outgrow a 64 KiB pipe buffer."""
+    rng = np.random.default_rng(1)
+    path = tmp_path_factory.mktemp("cli-long") / "long-vowel.wav"
+    write_wav(str(path), AudioSignal(reference.voiced_vowel(rng, 8 * SR), SR))
+    return str(path)
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal would be most of any process's start-up; no command needs it.
-        src = os.path.dirname(os.path.dirname(dialectid.__file__))
-        probe = "import sys, dialectid.cli; print('scipy.signal' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert done.stdout.strip() == "False"
+        done = _python("import sys, dialectid.cli; print('scipy.signal' in sys.modules)")
+        assert done.returncode == 0 and done.stdout.strip() == "False"
 
     def test_cli_import_loads_no_scipy(self):
         # The MFCC transform and the LP analyzer are numpy-only; any scipy
         # module on the import path costs every command hundreds of ms.
-        src = os.path.dirname(os.path.dirname(dialectid.__file__))
         probe = (
             "import sys, dialectid.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert done.stdout.strip() == "[]"
+        done = _python(probe)
+        assert done.returncode == 0 and done.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_thread_pool(self):
         # Training runs its second fit on a plain threading.Thread; an
         # executor module would cost every classify and nasal process ~7 ms.
-        src = os.path.dirname(os.path.dirname(dialectid.__file__))
-        probe = "import sys, dialectid.cli; print('concurrent.futures' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert done.stdout.strip() == "False"
+        done = _python("import sys, dialectid.cli; print('concurrent.futures' in sys.modules)")
+        assert done.returncode == 0 and done.stdout.strip() == "False"
 
     def test_package_import_loads_no_submodule(self):
         # The package root is bare; each command imports only what it uses.
-        src = os.path.dirname(os.path.dirname(dialectid.__file__))
         probe = (
             "import sys, dialectid; "
             "print(sorted(m for m in sys.modules if m.startswith('dialectid.')))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert done.stdout.strip() == "[]"
+        done = _python(probe)
+        assert done.returncode == 0 and done.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_command_module(self):
+        done = _python("import sys, dialectid.cli; print(*(m for m in sys.modules if m.startswith('dialectid.')))")
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "dialectid.cli" in loaded
+        assert not loaded & {"dialectid.classifier", "dialectid.gmm", "dialectid.nasalization", "dialectid.synth"}
+
+    def test_classify_loads_no_nasalization_or_synth(self, tiny_corpus, bundle_dir, tmp_path):
+        argv = ["classify", "--bundle", bundle_dir, "--audio", _test_wav(tiny_corpus)]
+        done = _python(LOADED, *argv, "--output", str(tmp_path / "decision.txt"))
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert {"dialectid.classifier", "dialectid.gmm"} <= loaded
+        assert not loaded & {"dialectid.nasalization", "dialectid.synth"}
+
+    def test_nasal_loads_no_classifier_or_gmm(self, vowel_wav, tmp_path):
+        argv = ["nasal", "--audio", vowel_wav, "--dump-spectra", str(tmp_path / "spectra.txt")]
+        done = _python(LOADED, *argv, "--output", str(tmp_path / "nasal.txt"))
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert "dialectid.nasalization" in loaded
+        assert not loaded & {"dialectid.classifier", "dialectid.gmm"}
+
+
+class TestFastExit:
+    """main() flushes stdout and stderr and ends with os._exit: nothing may be lost."""
+
+    def test_long_report_arrives_whole_through_a_pipe(self, long_vowel_wav, capsys):
+        argv = ["nasal", "--audio", long_vowel_wav, "--format", "records"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        assert len(expected) > 65536
+        for unbuffered in (True, False):
+            done = _python(MAIN, *argv, unbuffered=unbuffered)
+            assert (done.returncode, done.stderr) == (0, "")
+            assert done.stdout == expected
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "--bundle", "{bundle}", "--audio", "{wav}"], 0),
+            (["classify", "--bundle", "{bundle}", "--audio", "{missing}"], 1),
+            (["classify", "--bundle", "{bundle}", "--audio", "{wav}", "--bogus"], 2),
+        ],
+        ids=["clean", "missing-wav", "unknown-option"],
+    )
+    def test_exit_status_passes_through(self, tiny_corpus, bundle_dir, tmp_path, capsys, argv, code):
+        fill = {"{bundle}": bundle_dir, "{wav}": _test_wav(tiny_corpus), "{missing}": str(tmp_path / "no.wav")}
+        argv = [fill.get(arg, arg) for arg in argv]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        done = _python(MAIN, *argv)
+        assert done.returncode == code
+        assert (done.stdout, done.stderr) == (captured.out, captured.err)
+
+    def test_output_and_dump_files_are_complete(self, long_vowel_wav, tmp_path):
+        def argv(name):
+            return [
+                "nasal", "--audio", long_vowel_wav, "--format", "records",
+                "--output", str(tmp_path / f"{name}.jsonl"),
+                "--dump-spectra", str(tmp_path / f"{name}.spectra"),
+            ]
+
+        assert run(argv("in-process")) == 0
+        done = _python(MAIN, *argv("main"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        for suffix in ("jsonl", "spectra"):
+            expected = (tmp_path / f"in-process.{suffix}").read_bytes()
+            assert (tmp_path / f"main.{suffix}").read_bytes() == expected
+
+    @pytest.mark.parametrize("code", [RUN, MAIN], ids=["run", "main"])
+    def test_closed_stdout_is_a_one_line_error(self, vowel_wav, code):
+        # sh starts Python with file descriptor 1 closed, so sys.stdout is None.
+        closed = ("sh", "-c", 'exec "$@" >&-', "sh")
+        done = _python(code, "nasal", "--audio", vowel_wav, "--format", "records", prefix=closed)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_unwritable_pipe_is_a_one_line_error(self, tiny_corpus, bundle_dir, unbuffered):
+        # Buffered, the small report first fails when main() flushes it.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = ["classify", "--bundle", bundle_dir, "--audio", _test_wav(tiny_corpus)]
+            done = _python(MAIN, *argv, unbuffered=unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
 class TestAtomicWrites:
