@@ -65,13 +65,6 @@ def _section_keys(section: str) -> set[str]:
     return keys - {"train.num_components"}
 
 
-def __getattr__(name: str):
-    """_CONFIG_KEYS, made on use so that importing cli imports no gmm or nasalization."""
-    if name == "_CONFIG_KEYS":
-        return set().union(*map(_section_keys, _SECTIONS))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _load_config(path) -> dict[str, str]:
     """Flat `key = value` file with mfcc./train./nasal. keys, each set once;
     every section the file sets must build a valid config."""

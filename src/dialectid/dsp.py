@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     FeatureFileError,
     SampleRateMismatch,
     SignalTooShort,
@@ -140,10 +141,14 @@ def frame_signal(signal: AudioSignal, config: Framing) -> np.ndarray:
 
     Returns an array of shape (num_frames, frame_samples) where
     num_frames = floor((N - L) / H) + 1. Trailing samples that do not fill
-    a whole frame are dropped. Raises SignalTooShort when N < L.
+    a whole frame are dropped. Raises SignalTooShort when N < L and
+    ConfigError when L or H rounds to zero samples at the signal's rate.
     """
     length = config.frame_samples(signal.sample_rate)
     hop = config.hop_samples(signal.sample_rate)
+    if min(length, hop) < 1:  # H <= L, so H is the one to name
+        raise ConfigError(f"frame shift {config.frame_shift_ms} ms is under one sample at "
+                          f"{signal.sample_rate} Hz")
     n = signal.samples.size
     if n < length:
         raise SignalTooShort(

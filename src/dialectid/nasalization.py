@@ -276,10 +276,12 @@ def _lp_analysis(
     in dB as (rows of the indices, spectra) blocks of at most
     SPECTRUM_BLOCK_BINS values, each made when the iterator reaches it).
 
-    The counts are indexed by LP_OK, LP_DEGENERATE and LP_UNSTABLE.
-    Degenerate and unstable frames are left out; the indices keep their
-    place in the original frame sequence.
+    The counts are indexed by LP_OK, LP_DEGENERATE and LP_UNSTABLE; the
+    indices keep their place in the frame sequence. ConfigError, on any
+    audio, unless lpc_order is below the frame's sample count.
     """
+    if (length := config.frame_samples(signal.sample_rate)) <= config.lpc_order:
+        raise ConfigError(f"lpc_order {config.lpc_order} must be below a frame's {length} samples")
     # No pre-emphasis here: the low band under scrutiny is exactly what
     # pre-emphasis would attenuate.
     frames = frame_signal(signal, config)

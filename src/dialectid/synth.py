@@ -15,9 +15,9 @@ side as the rows of one buffer, computing y[k] = x[k] - (a1*y[k-1] +
 a2*y[k-2]) one time step at a time. That is lfilter([1], [1, a1, a2], x)'s
 own arithmetic, so each row equals lfilter's output bit for bit. A step
 costs a few microseconds however many rows it carries, so the generator
-draws its segments in rng order into a buffer of at most BATCH_SEGMENTS
-rows and filters, normalizes and writes one batch at a time; memory
-depends on the batch, not the corpus size.
+fills a buffer of up to BATCH_SEGMENTS rows with whole utterances' segments
+(one utterance if longer) and filters, normalizes and writes one batch at
+a time; memory depends on the batch, not the corpus size.
 """
 
 from __future__ import annotations
@@ -140,81 +140,56 @@ def _wandering(
     radius: float,
     sample_rate: int,
 ) -> Iterator[tuple[Any, np.ndarray]]:
-    """(tag, wandering_noise(rng, num_samples, center_hz, ...)) for each
-    (center_hz, tag) of the count in utterances, drawn in that order.
+    """(tag, num_samples of noise) for each (center_hz, tag) of the count in
+    utterances, drawn in that order. A stationary resonator leaves nothing
+    for mean-normalized features to separate, so each utterance is cut into
+    SEGMENT_SECONDS segments, each with its center redrawn uniformly within
+    +/- WANDER of center_hz: the class signature lives in how the spectrum
+    moves, which survives mean removal.
 
     Each pair is taken just before its segments are drawn, so utterances
-    may draw from rng itself. Every segment's drive lands in one row of a
-    buffer of at most BATCH_SEGMENTS rows; a full buffer is filtered by
-    _resonate and its rows peak-normalized in one pass before the
-    utterances are cut out.
+    may draw from rng itself. Each segment's drive is one row of a buffer
+    of as many whole utterances as fit in BATCH_SEGMENTS rows, or one; a
+    full buffer is filtered by _resonate and its rows peak-normalized in
+    one pass before the utterances are cut out.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     seg_len = max(1, int(SEGMENT_SECONDS * sample_rate))
     full, rest = divmod(num_samples, seg_len)
     takes = [seg_len] * full + [rest] * (rest > 0)
-    rows = min(BATCH_SEGMENTS, count * len(takes))
+    per = len(takes)
+    rows = per * min(max(1, BATCH_SEGMENTS // per), count)
     buf = np.zeros((rows, 2 + WARMUP + seg_len))
     a = np.empty((3, rows))
-    ends: list[tuple[int, Any]] = []  # last row of each utterance in the batch
-    pieces: list[np.ndarray] = []  # rows of an utterance from earlier batches
+    tags: list[Any] = []
 
-    def flush(n: int) -> Iterator[tuple[Any, np.ndarray]]:
+    def flush() -> Iterator[tuple[Any, np.ndarray]]:
+        n = per * len(tags)
         _resonate(buf[:n], a[1, :n], a[2, :n])
         seg = buf[:n, 2 + WARMUP :]
-        if rest and ends:
+        if rest:
             # The short last segments' columns past their end hold the
             # filter's ringing, not samples.
-            seg[[end for end, _ in ends], rest:] = 0.0
+            seg[per - 1 :: per, rest:] = 0.0
         tops = np.maximum(seg.max(axis=1), -seg.min(axis=1))
         seg *= np.divide(PEAK, tops, out=np.ones(n), where=tops > 0.0)[:, None]
-        start = 0
-        for end, tag in ends:
-            pieces.append(seg[start : end + 1])
-            samples = np.concatenate(pieces).reshape(-1)[:num_samples]
-            pieces.clear()
-            top = np.abs(samples).max()
-            if top > 0.0:
-                samples = samples * (PEAK / top)
-            yield tag, samples
-            start = end + 1
-        if start < n:
-            pieces.append(seg[start:n].copy())
-        ends.clear()
+        for start, tag in zip(range(0, n, per), tags):
+            utterance = seg[start : start + per]  # past num_samples it holds zeros
+            top = np.abs(utterance).max()
+            yield tag, (utterance * (PEAK / top if top > 0.0 else 1.0)).reshape(-1)[:num_samples]
+        tags.clear()
 
-    n = 0
     for center_hz, tag in utterances:
-        for take in takes:
-            if n == rows:
-                yield from flush(n)
-                n = 0
+        if per * len(tags) == rows:
+            yield from flush()
+        for row, take in enumerate(takes, per * len(tags)):
             seg_center = center_hz * (1.0 + rng.uniform(-WANDER, WANDER))
-            a[:, n] = resonator_poly(seg_center, radius, sample_rate)
-            rng.standard_normal(out=buf[n, 2 : 2 + WARMUP + take])
-            n += 1
-        ends.append((n - 1, tag))
-    if n:
-        yield from flush(n)
-
-
-def wandering_noise(
-    rng: np.random.Generator,
-    num_samples: int,
-    center_hz: float,
-    radius: float,
-    sample_rate: int,
-) -> np.ndarray:
-    """Resonator noise whose center frequency drifts between short segments.
-
-    A stationary resonator leaves nothing for mean-normalized features to
-    separate, so the utterance is built from SEGMENT_SECONDS segments with
-    the center redrawn uniformly within +/- WANDER of center_hz for each
-    one. The class signature then lives in how the spectrum moves, which
-    survives mean removal.
-    """
-    ((_, samples),) = _wandering(rng, [(center_hz, None)], 1, num_samples, radius, sample_rate)
-    return samples
+            a[:, row] = resonator_poly(seg_center, radius, sample_rate)
+            rng.standard_normal(out=buf[row, 2 : 2 + WARMUP + take])
+        tags.append(tag)
+    if tags:
+        yield from flush()
 
 
 def generate_synthetic_corpus(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference
+from dialectid import synth
 from dialectid.classifier import (
     evaluate,
     f1_score,
@@ -33,7 +34,7 @@ from dialectid.dsp import AudioSignal, MfccConfig, cepstral_mean_subtract, extra
 from dialectid.gmm import GmmModel, TrainConfig, em_fit, log_likelihood_sequence
 from dialectid.labels import DialectLabel
 from dialectid.nasalization import analyze_segment, compare_degree
-from dialectid.synth import generate_synthetic_corpus, wandering_noise
+from dialectid.synth import generate_synthetic_corpus
 
 SR = 16000
 
@@ -86,7 +87,8 @@ def test_criterion_01_features_match_direct_reference():
             x += 0.05 * rng.standard_normal(n)
             x *= 0.8 / np.abs(x).max()
         else:
-            x = wandering_noise(rng, n, float(rng.uniform(300.0, 3000.0)), 0.9, SR)
+            center = float(rng.uniform(300.0, 3000.0))
+            ((_, x),) = synth._wandering(rng, [(center, None)], 1, n, 0.9, SR)
         got = extract_features(AudioSignal(x, SR), config)
         want = reference.features39_ref(x, SR, config)
         worst = max(worst, float(np.abs(got - want).max()))

@@ -1,5 +1,6 @@
-"""perfbench traces dialectid's public functions by module and name, so a
-refactor that renames or drops one must fail here, not in a traced run."""
+"""perfbench traces dialectid's public functions by module and name, and its
+workloads call dialectid through module attributes, so a refactor that
+renames or drops one must fail here, not in a benchmark run."""
 
 import ast
 import importlib
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def traced_functions():
@@ -20,6 +23,33 @@ def traced_functions():
     raise AssertionError(f"{SPANS} defines no TRACED table")
 
 
+def workload_attributes():
+    """(module, attribute) pairs that workloads.py reads off the modules it
+    imports with `from dialectid import ...`, found without importing it."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "dialectid"
+        for alias in node.names
+    }
+    found = {
+        (f"dialectid.{node.value.id}", node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    if not found:
+        raise AssertionError(f"{WORKLOADS} reads no attribute of a dialectid module")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("module, name", traced_functions())
 def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(module), name))
+
+
+@pytest.mark.parametrize("module, name", workload_attributes())
+def test_workload_attribute_exists(module, name):
+    assert hasattr(importlib.import_module(module), name)

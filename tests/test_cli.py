@@ -98,6 +98,13 @@ class TestUsageErrors:
             (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{neg_seed_cfg}"], 1),
             (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{bad_nasal_cfg}"], 1),
             (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{neg_seed_cfg}"], 1),
+            (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{mfcc_shift_cfg}"], 1),
+            (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{nasal_shift_cfg}"],
+             1),
+            (["classify", "--bundle", "{shift_bundle}", "--audio", "{wav}", "--output", "{out}"],
+             1),
+            (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc400_cfg}"], 1),
+            (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc320_cfg}"], 1),
         ],
         ids=[
             "sweep-zero-components", "train-zero-components", "synth-zero-train",
@@ -107,27 +114,36 @@ class TestUsageErrors:
             "single-with-ct-start", "single-with-ct-end", "synth-negative-seed",
             "train-negative-seed", "train-negative-rng-seed-config", "synth-sub-sample-seconds",
             "extract-negative-rng-seed-config", "extract-zero-lpc-order-config",
-            "nasal-negative-rng-seed-config",
+            "nasal-negative-rng-seed-config", "extract-sub-sample-shift-config",
+            "nasal-sub-sample-shift-config", "classify-sub-sample-shift-bundle",
+            "nasal-lpc-order-above-frame-config", "nasal-lpc-order-equal-to-frame-config",
         ],
     )
     def test_rejected_invocations_exit_cleanly(
-        self, tiny_corpus, vowel_wav, tmp_path, capsys, argv, code
+        self, tiny_corpus, bundle_dir, vowel_wav, tmp_path, capsys, argv, code
     ):
-        dup_cfg = tmp_path / "dup.cfg"
-        dup_cfg.write_text("mfcc.frame_shift_ms = 10\nmfcc.frame_shift_ms = 20\n")
-        neg_seed_cfg = tmp_path / "neg_seed.cfg"
-        neg_seed_cfg.write_text("train.rng_seed = -3\n")
-        bad_nasal_cfg = tmp_path / "bad_nasal.cfg"
-        bad_nasal_cfg.write_text("mfcc.frame_shift_ms = 10\nnasal.lpc_order = 0\n")
         out = tmp_path / "out"
-        fill = {
-            "{manifest}": tiny_corpus.manifest_path,
-            "{wav}": vowel_wav,
-            "{out}": str(out),
-            "{dup_cfg}": str(dup_cfg),
-            "{neg_seed_cfg}": str(neg_seed_cfg),
-            "{bad_nasal_cfg}": str(bad_nasal_cfg),
+        fill = {"{manifest}": tiny_corpus.manifest_path, "{wav}": vowel_wav, "{out}": str(out)}
+        configs = {
+            "dup": "mfcc.frame_shift_ms = 10\nmfcc.frame_shift_ms = 20\n",
+            "neg_seed": "train.rng_seed = -3\n",
+            "bad_nasal": "mfcc.frame_shift_ms = 10\nnasal.lpc_order = 0\n",
+            # 0.01 ms is 0.16 samples at 16 kHz; a nasal frame is 320 samples.
+            "mfcc_shift": "mfcc.frame_shift_ms = 0.01\n",
+            "nasal_shift": "nasal.frame_shift_ms = 0.01\n",
+            "lpc400": "nasal.lpc_order = 400\n",
+            "lpc320": "nasal.lpc_order = 320\n",
         }
+        for name, text in configs.items():
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(text)
+            fill[f"{{{name}_cfg}}"] = str(path)
+        shift_bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, shift_bundle)
+        descriptor = json.loads((shift_bundle / "bundle.json").read_text(encoding="utf-8"))
+        descriptor["feature_config"]["frame_shift_ms"] = 0.01
+        (shift_bundle / "bundle.json").write_text(json.dumps(descriptor), encoding="utf-8")
+        fill["{shift_bundle}"] = str(shift_bundle)
         assert run([fill.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
@@ -549,6 +565,14 @@ class TestNasal:
         summary = records_from(rec)[-1]
         assert summary["num_degenerate"] >= 20 and summary["num_unstable"] == 0
         assert summary["num_degenerate"] + summary["num_analyzed"] == summary["num_frames"]
+
+    def test_lpc_order_one_below_the_frame_length_runs(self, vowel_wav, tmp_path):
+        cfg = tmp_path / "lpc319.cfg"
+        cfg.write_text("nasal.lpc_order = 319\n")
+        rec = tmp_path / "nasal.jsonl"
+        argv = ["nasal", "--audio", vowel_wav, "--config", str(cfg), "--format", "records"]
+        assert run([*argv, "--output", str(rec)]) == 0
+        assert records_from(rec)[-1]["num_frames"] > 0
 
     def test_bad_bounds_are_a_data_error(self, vowel_wav, capsys):
         assert run(["nasal", "--audio", vowel_wav, "--start", "5.0"]) == 1

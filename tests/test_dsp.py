@@ -35,7 +35,13 @@ from dialectid.dsp import (
     write_features,
     write_features_csv,
 )
-from dialectid.errors import DialectIdError, FeatureFileError, SampleRateMismatch, SignalTooShort
+from dialectid.errors import (
+    ConfigError,
+    DialectIdError,
+    FeatureFileError,
+    SampleRateMismatch,
+    SignalTooShort,
+)
 
 SR = CANONICAL_SAMPLE_RATE
 
@@ -84,6 +90,12 @@ class TestFraming:
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShort):
             frame_signal(sig(np.ones(100)), MfccConfig())
+
+    @pytest.mark.parametrize("length_ms, shift_ms", [(25.0, 0.01), (0.01, 0.01)])
+    def test_sub_sample_frame_or_shift_is_a_config_error(self, length_ms, shift_ms):
+        cfg = MfccConfig(frame_length_ms=length_ms, frame_shift_ms=shift_ms)
+        with pytest.raises(ConfigError):
+            frame_signal(sig(np.ones(400)), cfg)
 
     def test_frame_count_formula(self):
         # floor((N - L) / H) + 1 over random lengths

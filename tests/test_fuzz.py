@@ -25,7 +25,8 @@ FUZZ = settings(
 
 WAVS = st.binary(max_size=60) | mutations(wav_bytes()) | wav_headers()
 MANIFESTS = st.binary(max_size=60) | manifest_texts()
-CONFIGS = st.binary(max_size=60) | config_texts(cli._CONFIG_KEYS)
+CONFIG_KEYS = set().union(*map(cli._section_keys, cli._SECTIONS))
+CONFIGS = st.binary(max_size=60) | config_texts(CONFIG_KEYS)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ class TestReaders:
             kv = cli._load_config(path)
         except DialectIdError:
             return
-        assert set(kv) <= cli._CONFIG_KEYS
+        assert set(kv) <= CONFIG_KEYS
 
     @FUZZ
     @given(blob=WAVS)

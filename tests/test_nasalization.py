@@ -13,6 +13,7 @@ import reference
 from dialectid import nasalization
 from dialectid.dsp import AudioSignal
 from dialectid.errors import (
+    ConfigError,
     DegenerateFrame,
     EmptyReportError,
     SignalTooShort,
@@ -518,6 +519,12 @@ class TestBatchedCore:
             assert _median(values) == float(np.median(values))
             bins = rng.integers(9, 26, n) * 15.625
             assert _median(bins) == float(np.median(bins))
+
+    @pytest.mark.parametrize("order", [320, 400])
+    def test_order_not_below_the_frame_length_is_a_config_error_on_silence_too(self, order):
+        # A 20 ms frame is 320 samples at 16 kHz; silence leaves every frame degenerate.
+        with pytest.raises(ConfigError, match="lpc_order"):
+            analyze_segment(AudioSignal(np.zeros(SR // 4), SR), NasalConfig(lpc_order=order))
 
     def test_fft_must_exceed_order(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from scipy.signal import lfilter
 import dialectid
 import reference
 from dialectid import synth
-from dialectid.synth import ar_noise, generate_synthetic_corpus, resonator_poly, wandering_noise
+from dialectid.synth import ar_noise, generate_synthetic_corpus, resonator_poly
 
 SR = 16000
 
@@ -124,7 +124,7 @@ class TestWanderingNoise:
     @pytest.mark.parametrize("num_samples", [1, 2399, 2400, 2401, 17600, 24000])
     def test_equals_lfilter_segments_bit_for_bit(self, num_samples):
         rng, ref_rng = np.random.default_rng(num_samples), np.random.default_rng(num_samples)
-        got = wandering_noise(rng, num_samples, 700.0, 0.9, SR)
+        ((_, got),) = synth._wandering(rng, [(700.0, None)], 1, num_samples, 0.9, SR)
         want = reference.wandering_noise_ref(ref_rng, num_samples, 700.0, 0.9, SR)
         assert np.array_equal(got, want)
         assert rng.random() == ref_rng.random()
@@ -132,17 +132,18 @@ class TestWanderingNoise:
 
 class TestCorpusBytes:
     @pytest.mark.parametrize("name", sorted(CORPORA))
-    @pytest.mark.parametrize("batch", [1, 7, synth.BATCH_SEGMENTS])
+    @pytest.mark.parametrize("batch", [1, 7, 25, synth.BATCH_SEGMENTS])
     def test_files_match_the_lfilter_corpus(self, tmp_path, monkeypatch, name, batch):
-        # Small batches split utterances across batches; the bytes stay.
+        # A batch holds whole utterances: one at 1 and 7 rows, two of seed
+        # 7's 10 segments or three of seed 8's 8 at 25, all at 1024.
         monkeypatch.setattr(synth, "BATCH_SEGMENTS", batch)
         kwargs, digests = CORPORA[name]
         generate_synthetic_corpus(str(tmp_path), **kwargs)
         assert corpus_digests(tmp_path) == digests
 
     def test_peak_memory_is_set_by_the_batch_not_the_corpus(self, tmp_path):
-        # 8 s utterances are 54 segments, so 22 utterances fill a batch and
-        # a bit; 42 need three batches.
+        # 8 s utterances are 54 segments, so 18 utterances fill a batch;
+        # 22 need two batches and 42 three.
         peaks = []
         for train in (10, 20):
             tracemalloc.start()
