@@ -10,7 +10,6 @@ cepstral mean subtraction. Input audio must already be at the canonical
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     SignalTooShort,
     require_finite_fields,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, read_container, write_container
 
 CANONICAL_SAMPLE_RATE = 16000
 
@@ -31,12 +30,14 @@ ENERGY_FLOOR = 1e-10
 
 FEATURE_MAGIC = b"MFCC"
 FEATURE_VERSION = 1
-_FEATURE_HEADER = struct.Struct("<4sIII")
 
 # Largest accepted fft_size, 4 s at 16 kHz: far above any speech analysis
 # window. The filterbank and each frame's spectrum grow with fft_size, so a
 # larger one buys no resolution that is used and can exhaust memory.
 MAX_FFT_SIZE = 2**16
+
+# Largest accepted delta_window: the regression takes one pass per unit of it.
+MAX_DELTA_WINDOW = 100
 
 
 @dataclass(eq=False)
@@ -81,16 +82,16 @@ class Framing:
         return int(round(self.frame_shift_ms * sample_rate / 1000.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MfccConfig(Framing):
-    """Front-end parameters. Defaults are conventional for 16 kHz speech.
+    """Frozen front-end parameters (mel_filterbank caches on them) for 16 kHz speech.
 
     frame_length_ms / frame_shift_ms: analysis window and hop.
     preemphasis_coeff: first-order high-pass coefficient in [0, 1).
     num_mel_filters: triangular filters between low_freq_hz and high_freq_hz.
     fft_size: power of two, at least one 16 kHz frame long.
     num_cepstra: cepstra kept per frame (c0 included).
-    delta_window: regression half-width for velocity/acceleration.
+    delta_window: regression half-width for velocity/acceleration, 1..MAX_DELTA_WINDOW.
     """
 
     frame_length_ms: float = 25.0
@@ -113,8 +114,8 @@ class MfccConfig(Framing):
             raise ValueError("num_mel_filters exceeds the fft_size // 2 + 1 FFT bins")
         if not 1 <= self.num_cepstra <= self.num_mel_filters:
             raise ValueError("num_cepstra must be in [1, num_mel_filters]")
-        if self.delta_window < 1:
-            raise ValueError("delta_window must be at least 1")
+        if not 1 <= self.delta_window <= MAX_DELTA_WINDOW:
+            raise ValueError(f"delta_window must be in [1, {MAX_DELTA_WINDOW}]")
         if not 0.0 <= self.low_freq_hz < self.high_freq_hz:
             raise ValueError("need 0 <= low_freq_hz < high_freq_hz")
         if self.frame_samples(CANONICAL_SAMPLE_RATE) > self.fft_size:
@@ -166,30 +167,19 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(config: MfccConfig, sample_rate: int) -> np.ndarray:
     """Triangular mel filterbank, shape (num_mel_filters, fft_size//2 + 1).
 
     Centers are uniformly spaced on the mel scale between low_freq_hz and
     high_freq_hz and snapped to FFT bins; each filter peaks at weight 1.0
-    on its center bin. Each bank is built once per (filter settings, sample
-    rate) and the same read-only array is returned to every caller.
+    on its center bin. Each bank is built once per (config, sample rate)
+    and the same read-only array is returned to every caller.
     """
-    return _mel_filterbank(
-        config.num_mel_filters,
-        config.fft_size,
-        config.low_freq_hz,
-        config.high_freq_hz,
-        sample_rate,
-    )
-
-
-@functools.lru_cache(maxsize=16)
-def _mel_filterbank(
-    nfilt: int, nfft: int, low_hz: float, high_hz: float, sample_rate: int
-) -> np.ndarray:
+    nfilt, nfft, high_hz = config.num_mel_filters, config.fft_size, config.high_freq_hz
     if high_hz > sample_rate / 2.0:
         raise ValueError("high_freq_hz exceeds the Nyquist frequency")
-    mel_pts = np.linspace(hz_to_mel(low_hz), hz_to_mel(high_hz), nfilt + 2)
+    mel_pts = np.linspace(hz_to_mel(config.low_freq_hz), hz_to_mel(high_hz), nfilt + 2)
     bins = np.floor((nfft + 1) * mel_to_hz(mel_pts) / sample_rate).astype(int)
     fbank = np.zeros((nfilt, nfft // 2 + 1))
     for j in range(nfilt):
@@ -318,32 +308,14 @@ def write_features(path, features: np.ndarray) -> None:
         raise ValueError("feature matrix must be a non-empty 2-D matrix")
     if not np.isfinite(f).all():
         raise ValueError("refusing to serialize non-finite features")
-    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *f.shape)
-    with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
+    write_container(path, FEATURE_MAGIC, FEATURE_VERSION, f.shape, [f])
 
 
 def read_features(path) -> np.ndarray:
     """Read a feature matrix written by write_features, validating the header."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _FEATURE_HEADER.size:
-        raise FeatureFileError(f"{path}: truncated header")
-    magic, version, num_frames, dim = _FEATURE_HEADER.unpack_from(blob)
-    if magic != FEATURE_MAGIC:
-        raise FeatureFileError(f"{path}: bad magic {magic!r}")
-    if version != FEATURE_VERSION:
-        raise FeatureFileError(f"{path}: unsupported version {version}")
-    if num_frames < 1 or dim < 1:
-        raise FeatureFileError(f"{path}: empty feature matrix ({num_frames} x {dim})")
-    expected = _FEATURE_HEADER.size + 8 * num_frames * dim
-    if len(blob) != expected:
-        raise FeatureFileError(
-            f"{path}: payload is {len(blob)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(blob, dtype="<f8", offset=_FEATURE_HEADER.size)
-    features = data.reshape(num_frames, dim).astype(np.float64)
+    num_frames, dim, data = read_container(path, FEATURE_MAGIC, FEATURE_VERSION,
+                                           lambda t, d: t * d, FeatureFileError)
+    features = data.reshape(num_frames, dim)
     if not np.isfinite(features).all():
         raise FeatureFileError(f"{path}: non-finite feature values")
     return features

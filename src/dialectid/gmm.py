@@ -14,7 +14,6 @@ import ctypes
 import functools
 import math
 import os
-import struct
 import threading
 from dataclasses import dataclass
 
@@ -27,11 +26,10 @@ from .errors import (
     ModelVersionError,
     require_finite_fields,
 )
-from .fileio import atomic_open
+from .fileio import read_container, write_container
 
 MODEL_MAGIC = b"GMM1"
 MODEL_VERSION = 1
-_MODEL_HEADER = struct.Struct("<4sIII")
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -538,36 +536,14 @@ def run_pair(lt_job, ct_job):
 def save_model(model: GmmModel, path) -> None:
     """Serialize a validated model: header then weights, means, variances."""
     model.validate()
-    header = _MODEL_HEADER.pack(
-        MODEL_MAGIC, MODEL_VERSION, model.dim, model.num_components
-    )
-    with atomic_open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.means, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.variances, dtype="<f8").tobytes())
+    arrays = [model.weights, model.means, model.variances]
+    write_container(path, MODEL_MAGIC, MODEL_VERSION, (model.dim, model.num_components), arrays)
 
 
 def load_model(path) -> GmmModel:
     """Read a model file, checking magic, version, size, and invariants."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _MODEL_HEADER.size:
-        raise ModelFileError(f"{path}: truncated header")
-    magic, version, dim, m = _MODEL_HEADER.unpack_from(blob)
-    if magic != MODEL_MAGIC:
-        raise ModelFileError(f"{path}: bad magic {magic!r}")
-    if version != MODEL_VERSION:
-        raise ModelVersionError(f"{path}: unsupported version {version}")
-    expected = _MODEL_HEADER.size + 8 * (m + 2 * m * dim)
-    if len(blob) != expected or m < 1 or dim < 1:
-        raise ModelFileError(
-            f"{path}: payload is {len(blob)} bytes, expected {expected}"
-        )
-    flat = np.frombuffer(blob, dtype="<f8", offset=_MODEL_HEADER.size)
-    weights = flat[:m].astype(np.float64)
-    means = flat[m : m + m * dim].reshape(m, dim).astype(np.float64)
-    variances = flat[m + m * dim :].reshape(m, dim).astype(np.float64)
-    model = GmmModel(weights, means, variances)
+    dim, m, flat = read_container(path, MODEL_MAGIC, MODEL_VERSION, lambda d, m: m + 2 * m * d,
+                                  ModelFileError, ModelVersionError)
+    model = GmmModel(flat[:m], *flat[m:].reshape(2, m, dim))  # weights, means, variances
     model.validate()
     return model

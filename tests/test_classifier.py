@@ -362,6 +362,7 @@ class TestBundlePersistence:
         "section,key,value",
         [
             ("feature_config", "delta_window", 2.0),
+            ("feature_config", "delta_window", 10**8),
             ("feature_config", "fft_size", True),
             ("feature_config", "frame_length_ms", "25"),
             ("train_config", "num_components", 1.5),

@@ -105,6 +105,7 @@ class TestUsageErrors:
              1),
             (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc400_cfg}"], 1),
             (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc320_cfg}"], 1),
+            (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{huge_delta_cfg}"], 1),
         ],
         ids=[
             "sweep-zero-components", "train-zero-components", "synth-zero-train",
@@ -117,6 +118,7 @@ class TestUsageErrors:
             "nasal-negative-rng-seed-config", "extract-sub-sample-shift-config",
             "nasal-sub-sample-shift-config", "classify-sub-sample-shift-bundle",
             "nasal-lpc-order-above-frame-config", "nasal-lpc-order-equal-to-frame-config",
+            "extract-huge-delta-window-config",
         ],
     )
     def test_rejected_invocations_exit_cleanly(
@@ -133,6 +135,7 @@ class TestUsageErrors:
             "nasal_shift": "nasal.frame_shift_ms = 0.01\n",
             "lpc400": "nasal.lpc_order = 400\n",
             "lpc320": "nasal.lpc_order = 320\n",
+            "huge_delta": "mfcc.delta_window = 100000000\n",
         }
         for name, text in configs.items():
             path = tmp_path / f"{name}.cfg"
@@ -146,7 +149,7 @@ class TestUsageErrors:
         fill["{shift_bundle}"] = str(shift_bundle)
         assert run([fill.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
+        assert err.count("error:") == 1 and "Traceback" not in err
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Front-end tests: framing, mel filterbank, cepstra, deltas, CMS, file I/O."""
 
+import dataclasses
 import math
 import os
 import struct
@@ -17,6 +18,7 @@ from dialectid.dsp import (
     _dct_basis,
     CANONICAL_SAMPLE_RATE,
     ENERGY_FLOOR,
+    MAX_DELTA_WINDOW,
     MAX_FFT_SIZE,
     AudioSignal,
     MfccConfig,
@@ -368,7 +370,8 @@ class TestFeatureFiles:
         # write_features refuses these shapes, so no file of them is valid.
         path = tmp_path / "f.mfc"
         path.write_bytes(struct.pack("<4sIII", b"MFCC", 1, *shape))
-        with pytest.raises(FeatureFileError, match="empty"):
+        # Matched after the file name: the test's directory says "empty" too.
+        with pytest.raises(FeatureFileError, match=r"f\.mfc: empty"):
             read_features(path)
 
     @settings(
@@ -422,6 +425,7 @@ class TestConfigValidation:
             {"preemphasis_coeff": 1.0},
             {"low_freq_hz": 8000.0, "high_freq_hz": 100.0},
             {"delta_window": 0},
+            {"delta_window": 101},
             {"frame_length_ms": math.inf},
             {"frame_shift_ms": math.nan},
             {"high_freq_hz": math.inf},
@@ -441,3 +445,10 @@ class TestConfigValidation:
 
     def test_fft_size_cap_is_inclusive(self):
         assert MfccConfig(fft_size=MAX_FFT_SIZE).fft_size == MAX_FFT_SIZE
+
+    def test_delta_window_cap_is_inclusive(self):
+        assert MfccConfig(delta_window=MAX_DELTA_WINDOW).delta_window == MAX_DELTA_WINDOW
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            MfccConfig().fft_size = 1024

@@ -1,6 +1,7 @@
 """Fuzzed inputs for the readers and the CLI: any byte string either parses
 or raises DialectIdError, and the CLI exits 0, 1 or 2 without a traceback."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -153,4 +154,24 @@ class TestCommandLine:
                     argv = ["stats", "--manifest", str(manifest)]
         capsys.readouterr()
         assert cli.run(argv) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @FUZZ
+    @given(data=st.data())
+    def test_classify_with_a_mutated_model(
+        self, tiny_corpus, bundle_template, tmp_path, capsys, data
+    ):
+        """The descriptor records the mutated model's digest, so the model
+        reader, not the digest check, meets the bytes."""
+        out, descriptor, _ = bundle_template
+        with open(os.path.join(out, descriptor["lt_model"]), "rb") as fh:
+            blob = data.draw(mutations(fh.read()))
+        edited = dict(descriptor, lt_model_sha256=hashlib.sha256(blob).hexdigest())
+        directory = fuzzed_bundle(bundle_template, tmp_path, json.dumps(edited).encode("utf-8"))
+        with open(os.path.join(directory, descriptor["lt_model"]), "wb") as fh:
+            fh.write(blob)
+        argv = ["classify", "--bundle", directory, "--audio",
+                tiny_corpus.manifest.records[0].audio_path]
+        capsys.readouterr()
+        assert cli.run(argv) in (0, 1)
         assert "Traceback" not in capsys.readouterr().err

@@ -662,6 +662,15 @@ class TestPersistence:
         with pytest.raises(ModelVersionError):
             load_model(path)
 
+    @pytest.mark.parametrize("dim, m, values", [(2, 0, 0), (0, 4, 4)])
+    def test_empty_size_rejected(self, tmp_path, dim, m, values):
+        # The payload length matches the header, so only the empty size is wrong.
+        # Matched after the file name: the test's directory says "empty" too.
+        path = tmp_path / "m.gmm"
+        path.write_bytes(struct.pack("<4sIII", b"GMM1", 1, dim, m) + bytes(8 * values))
+        with pytest.raises(ModelFileError, match=r"m\.gmm: empty"):
+            load_model(path)
+
     def test_saving_invalid_model_rejected(self, tmp_path):
         model = GmmModel([0.9, 0.3], [[0.0], [1.0]], [[1.0], [1.0]])
         with pytest.raises(ModelInvariantError):
