@@ -28,7 +28,6 @@ from .gmm import (
     load_model,
     log_likelihood_segments,
     log_likelihood_sequence,
-    one_blas_thread,
     run_pair,
     save_model,
 )
@@ -173,16 +172,12 @@ def train_bundle(
     """Fit one GMM per dialect on that dialect's pooled training frames.
 
     The two dialects' frames are extracted, then fitted, concurrently
-    (run_pair). Like sweep_mixtures, it holds OpenBLAS at one thread
-    throughout, not only inside run_pair: after a multithreaded call,
-    OpenBLAS's idle worker spins for a while on the core that the second
-    job needs.
+    (run_pair, which also holds OpenBLAS at one thread).
     """
-    with one_blas_thread():
-        lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
-        (lt_model, lt_trace), (ct_model, ct_trace) = run_pair(
-            lambda: em_fit(lt_frames, train_config), lambda: em_fit(ct_frames, train_config)
-        )
+    lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
+    (lt_model, lt_trace), (ct_model, ct_trace) = run_pair(
+        lambda: em_fit(lt_frames, train_config), lambda: em_fit(ct_frames, train_config)
+    )
     training = {
         DialectLabel.LT.value: _training_record(lt_frames, lt_trace),
         DialectLabel.CT.value: _training_record(ct_frames, ct_trace),
@@ -247,36 +242,21 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
     return _score(decided)
 
 
-def _sweep_side(
-    frames: np.ndarray,
-    base_config: TrainConfig,
-    counts: list[int],
-    test_frames: np.ndarray,
-    starts: list[int],
-) -> list[tuple]:
-    """One dialect's side of the sweep: per count, in order, (the test
-    utterances' log-likelihoods or the exception the row raised, fit
-    seconds, scoring seconds). The rows share one TrainingFrames, built
-    before them like the features: each row's fit picks, within its own
-    time, only the seeds that the rows before it did not. An exception other
-    than a DialectIdError ends the side: the sweep raises it or one of an
-    earlier row."""
-    prepared = TrainingFrames(frames, base_config.rng_seed)
-    prepared.x2  # made here too, so that the first row does not pay for it
-    outcomes = []
-    for count in counts:
-        start = time.perf_counter()
-        try:
-            model, _ = em_fit(frames, replace(base_config, num_components=count), prepared)
-            fitted = time.perf_counter()
-            scores = log_likelihood_segments(model, test_frames, starts)
-        except Exception as exc:
-            outcomes.append((exc, time.perf_counter() - start, 0.0))
-            if not isinstance(exc, DialectIdError):
-                break
-            continue
-        outcomes.append((scores, fitted - start, time.perf_counter() - fitted))
-    return outcomes
+def _fit_and_score(
+    prepared: TrainingFrames, config: TrainConfig, test_frames: np.ndarray, starts: list[int]
+) -> tuple:
+    """One dialect's part of a sweep row: (the test utterances'
+    log-likelihoods or the exception the fit or scoring raised, fit seconds,
+    scoring seconds). A dialect's rows share prepared, so each fit picks,
+    within its own time, only the seeds that the rows before it did not."""
+    start = time.perf_counter()
+    try:
+        model, _ = em_fit(prepared.data, config, prepared)
+        fitted = time.perf_counter()
+        scores = log_likelihood_segments(model, test_frames, starts)
+    except Exception as exc:
+        return exc, time.perf_counter() - start, 0.0
+    return scores, fitted - start, time.perf_counter() - fitted
 
 
 def sweep_mixtures(
@@ -288,15 +268,14 @@ def sweep_mixtures(
 ) -> list[SweepRow]:
     """Accuracy as a function of mixture size, one row per count.
 
-    Features are extracted once and shared across rows. A row that fails
-    (for example, fewer frames than components) is recorded with its error
+    Features are extracted once and shared across rows, on two threads
+    through run_pair: the LT and CT training frames, then the two halves of
+    the test set. Each dialect's rows share one TrainingFrames, built before
+    them like the features. The rows run in order, each fitting and scoring
+    its LT and CT models together through run_pair. A row that fails (for
+    example, fewer frames than components) is recorded with its error
     message, LT's before CT's, and the sweep moves on; any other exception
-    is raised as in sequential order, earliest row first and LT before CT.
-    OpenBLAS runs on one thread for the whole sweep (see train_bundle).
-    Extraction runs on two threads through run_pair, the LT and CT training
-    frames and then the two halves of the test set; then each dialect runs
-    all its rows on its own thread (_sweep_side), without waiting for the
-    other.
+    is raised, LT's before CT's, and no later row runs.
     """
     counts = list(component_counts)
     if not counts:
@@ -304,48 +283,43 @@ def sweep_mixtures(
     if any(c < 1 for c in counts):
         raise ValueError("component counts must be positive")
 
-    with one_blas_thread():
-        lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
-        # Contiguous halves: run_pair raises the first half's error first, so
-        # the first bad record in manifest order is the one reported.
-        records = _test_records(test_manifest)
-        half = (len(records) + 1) // 2
-        first, second = run_pair(
-            lambda: [_record_features(rec, feature_config) for rec in records[:half]],
-            lambda: [_record_features(rec, feature_config) for rec in records[half:]],
-        )
-        lengths = [f.shape[0] for f in first + second]
-        starts = np.cumsum([0, *lengths[:-1]]).tolist()
-        test_frames = np.vstack(first + second)
-        del first, second
-        lt_side, ct_side = run_pair(
-            lambda: _sweep_side(lt_frames, base_train_config, counts, test_frames, starts),
-            lambda: _sweep_side(ct_frames, base_train_config, counts, test_frames, starts),
-        )
+    lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
+    # Contiguous halves: run_pair raises the first half's error first, so
+    # the first bad record in manifest order is the one reported.
+    records = _test_records(test_manifest)
+    half = (len(records) + 1) // 2
+    first, second = run_pair(
+        lambda: [_record_features(rec, feature_config) for rec in records[:half]],
+        lambda: [_record_features(rec, feature_config) for rec in records[half:]],
+    )
+    lengths = [f.shape[0] for f in first + second]
+    starts = np.cumsum([0, *lengths[:-1]]).tolist()
+    test_frames = np.vstack(first + second)
+    del first, second
+    lt_side = TrainingFrames(lt_frames, base_train_config.rng_seed)
+    ct_side = TrainingFrames(ct_frames, base_train_config.rng_seed)
+    lt_side.x2, ct_side.x2  # made here, so that the first row does not pay for them
 
-        rows = []
-        for i, count in enumerate(counts):
-            if i == len(ct_side):
-                # CT stopped at an unexpected error in the row before, where
-                # LT's row error came first. In sequential order CT's fit of
-                # that row never ran, so its later rows run here.
-                ct_side += _sweep_side(
-                    ct_frames, base_train_config, counts[i:], test_frames, starts
-                )
-            (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) = lt_side[i], ct_side[i]
-            times = (
-                max(lt_fit + lt_score, ct_fit + ct_score),
-                max(lt_fit, ct_fit),
-                max(lt_score, ct_score),
-            )
-            error = lt if isinstance(lt, Exception) else ct if isinstance(ct, Exception) else None
-            if error is None:
-                decided = zip(records, map(_decision, lt, ct))
-                rows.append(SweepRow(count, _score(decided).accuracy, *times))
-            elif isinstance(error, DialectIdError):
-                rows.append(SweepRow(count, None, *times, str(error)))
-            else:
-                raise error
+    rows = []
+    for count in counts:
+        config = replace(base_train_config, num_components=count)
+        (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) = run_pair(
+            lambda: _fit_and_score(lt_side, config, test_frames, starts),
+            lambda: _fit_and_score(ct_side, config, test_frames, starts),
+        )
+        times = (
+            max(lt_fit + lt_score, ct_fit + ct_score),
+            max(lt_fit, ct_fit),
+            max(lt_score, ct_score),
+        )
+        error = lt if isinstance(lt, Exception) else ct if isinstance(ct, Exception) else None
+        if error is None:
+            decided = zip(records, map(_decision, lt, ct))
+            rows.append(SweepRow(count, _score(decided).accuracy, *times))
+        elif isinstance(error, DialectIdError):
+            rows.append(SweepRow(count, None, *times, str(error)))
+        else:
+            raise error
     return rows
 
 

@@ -13,10 +13,11 @@ One executable, one subcommand per pipeline stage:
     synth     seeded synthetic two-dialect corpus
 
 Exit codes: 0 success, 1 data error (bad audio, bad manifest, corrupt
-model, failed validation), 2 usage error. Reports go to stdout or --output,
-as plain text or line-delimited JSON records (--format records). Identical
-argv + input files + seed reproduce identical outputs byte for byte, except
-for the wall-clock times in sweep reports.
+model, failed validation), 2 usage error, and 130 from main() when
+interrupted. Reports go to stdout or --output, as plain text or
+line-delimited JSON records (--format records). Identical argv + input
+files + seed reproduce identical outputs byte for byte, except for the
+wall-clock times in sweep reports.
 
 Each command imports only the modules it runs. main(), the `dialectid`
 command, flushes stdout and stderr once run() returns and ends the process
@@ -542,8 +543,14 @@ def run(argv=None) -> int:
 
 def main() -> None:
     """The `dialectid` command: run(), flush stdout and stderr, exit without teardown.
-    Output files are closed and worker threads joined before run() returns."""
-    status = run()
+    Output files are closed and worker threads joined before run() returns. An
+    interrupt (SIGINT) is one error line and status 130; atomic_open has then
+    removed any unfinished output file."""
+    try:
+        status = run()
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        status = 130
     try:
         if sys.stdout is not None:
             sys.stdout.flush()

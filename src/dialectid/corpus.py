@@ -51,6 +51,8 @@ class UtteranceRecord:
     def __post_init__(self):
         if not self.audio_path:
             raise ValueError("audio_path must be non-empty")
+        if "\0" in self.audio_path:
+            raise ValueError("audio_path contains a NUL byte")
         if not self.speaker_id:
             raise ValueError("speaker_id must be non-empty")
         if self.segment is not None:

@@ -304,7 +304,7 @@ def extract_segment(signal: AudioSignal, start_s: float, end_s: float) -> AudioS
 def write_features(path, features: np.ndarray) -> None:
     """Write a feature matrix: magic, version, num_frames, dim, f64-LE rows."""
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 1:
+    if f.ndim != 2 or f.size == 0:
         raise ValueError("feature matrix must be a non-empty 2-D matrix")
     if not np.isfinite(f).all():
         raise ValueError("refusing to serialize non-finite features")
@@ -324,7 +324,7 @@ def read_features(path) -> np.ndarray:
 def write_features_csv(path, features: np.ndarray) -> None:
     """Plain-text export, one frame per line, full float64 precision."""
     f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[0] < 1:
+    if f.ndim != 2 or f.size == 0:
         raise ValueError("feature matrix must be a non-empty 2-D matrix")
     with atomic_open(path) as fh:
         np.savetxt(fh, f, delimiter=",", fmt="%.17g")

@@ -58,18 +58,23 @@ def wav_headers():
     )
 
 
-def _lines(fields, separator):
-    line = st.lists(fields, min_size=1, max_size=8).map(separator.join)
-    return st.lists(line, max_size=5).map(lambda lines: "\n".join(lines).encode("utf-8"))
-
-
 def manifest_texts():
-    """Tab-separated lines of manifest-like fields."""
+    """Tab-separated lines of manifest-like fields. Some lines have five
+    fields whose labels parse, so that a command reaches the audio paths."""
     fields = st.sampled_from(
         ["wav/a.wav", "spk", "LT", "CT", "xx", "male", "female", "train", "test",
-         "0.5", "1.5", "-1", "nan", "inf", "", " ", "#"]
+         "0.5", "1.5", "-1", "nan", "inf", "", " ", "#", "a\x00b.wav"]
     ) | st.text(max_size=4)
-    return _lines(fields, "\t")
+    labelled = st.tuples(
+        st.sampled_from(["a\x00b.wav", "wav/b.wav"]) | fields,
+        st.just("spk") | fields,
+        st.sampled_from(["LT", "CT"]),
+        st.sampled_from(["male", "female"]),
+        st.sampled_from(["train", "test"]),
+    ).map("\t".join)
+    line = st.lists(fields, min_size=1, max_size=8).map("\t".join) | labelled
+    lines = st.lists(labelled, min_size=1, max_size=3) | st.lists(line, max_size=5)
+    return lines.map(lambda lines: "\n".join(lines).encode("utf-8"))
 
 
 def config_texts(keys):

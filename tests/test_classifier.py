@@ -695,8 +695,8 @@ class TestStagesOnTwoThreads:
     ):
         # LT fails with a domain error at M=2 and CT with an unexpected one:
         # the row records LT's. CT fails unexpectedly at M=4 and LT at M=8:
-        # the earlier row's error is the one raised. A dialect fits no row
-        # after its own unexpected error, unless LT's row error hid it.
+        # the earlier row's error is the one raised. No dialect fits a row
+        # after the row that raised.
         lt_frames = classifier._pooled_training_frames(
             tiny_corpus.manifest, DialectLabel.LT, MfccConfig()
         )
@@ -731,6 +731,7 @@ class TestStagesOnTwoThreads:
             with pytest.raises(RuntimeError, match="lt 8"):
                 sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [8, 4, 1])
             assert ("lt", 4) not in fitted and ("lt", 1) not in fitted
+            assert ("ct", 4) not in fitted and ("ct", 1) not in fitted
 
     @pytest.mark.parametrize(
         "picks, culprit",

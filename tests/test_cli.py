@@ -5,10 +5,12 @@ import json
 import os
 import re
 import shutil
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -106,6 +108,8 @@ class TestUsageErrors:
             (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc400_cfg}"], 1),
             (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc320_cfg}"], 1),
             (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{huge_delta_cfg}"], 1),
+            (["stats", "--manifest", "{nul_manifest}"], 1),
+            (["train", "--manifest", "{nul_manifest}", "--components", "1", "--out", "{out}"], 1),
         ],
         ids=[
             "sweep-zero-components", "train-zero-components", "synth-zero-train",
@@ -118,7 +122,8 @@ class TestUsageErrors:
             "nasal-negative-rng-seed-config", "extract-sub-sample-shift-config",
             "nasal-sub-sample-shift-config", "classify-sub-sample-shift-bundle",
             "nasal-lpc-order-above-frame-config", "nasal-lpc-order-equal-to-frame-config",
-            "extract-huge-delta-window-config",
+            "extract-huge-delta-window-config", "stats-nul-in-audio-path",
+            "train-nul-in-audio-path",
         ],
     )
     def test_rejected_invocations_exit_cleanly(
@@ -147,6 +152,9 @@ class TestUsageErrors:
         descriptor["feature_config"]["frame_shift_ms"] = 0.01
         (shift_bundle / "bundle.json").write_text(json.dumps(descriptor), encoding="utf-8")
         fill["{shift_bundle}"] = str(shift_bundle)
+        nul_manifest = tmp_path / "nul.tsv"
+        nul_manifest.write_text("a\x00b.wav\tspk1\tLT\tmale\ttrain\n", encoding="utf-8")
+        fill["{nul_manifest}"] = str(nul_manifest)
         assert run([fill.get(arg, arg) for arg in argv]) == code
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "Traceback" not in err
@@ -992,6 +1000,31 @@ class TestFastExit:
             os.close(write_end)
         assert done.returncode == 1
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+
+
+class TestInterrupt:
+    def test_sigint_ends_a_sweep_with_one_error_line(self, tiny_corpus, tmp_path):
+        # 300 rows of about 0.1 s each: the interrupt waits for the CT half of
+        # one row, not for the ~30 s of rows left.
+        config = tmp_path / "long.cfg"
+        config.write_text("train.max_em_iterations = 200\ntrain.convergence_tol = 1e-300\n")
+        out = tmp_path / "sweep.txt"
+        argv = ["sweep", "--manifest", tiny_corpus.manifest_path, "--components",
+                ",".join(["16"] * 300), "--config", str(config), "--output", str(out)]
+        proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv], stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=SRC), text=True)
+        try:
+            time.sleep(3)
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=60)
+            waited = time.monotonic() - sent
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        assert waited < 5
+        assert not out.exists() and not list(tmp_path.glob(".*.tmp"))
 
 
 class TestAtomicWrites:

@@ -82,6 +82,13 @@ class TestManifestParsing:
         with pytest.raises(ManifestError, match="line 1"):
             load_manifest(m)
 
+    def test_nul_in_audio_path_names_the_line(self, tmp_path):
+        # open() and wave.open() raise ValueError, not OSError, for such a path.
+        m = tmp_path / "m.tsv"
+        write_lines(m, ["a.wav\ts1\tLT\tmale\ttrain", "a\x00b.wav\tspk1\tLT\tmale\ttrain"])
+        with pytest.raises(ManifestError, match="line 2: audio_path contains a NUL byte"):
+            load_manifest(m)
+
     def test_duplicate_audio_path_rejected(self, tmp_path):
         m = tmp_path / "m.tsv"
         write_lines(m, ["a.wav\ts1\tLT\tmale\ttrain", "a.wav\ts2\tCT\tfemale\ttest"])

@@ -367,12 +367,21 @@ class TestFeatureFiles:
 
     @pytest.mark.parametrize("shape", [(0, 39), (0, 0), (5, 0)])
     def test_empty_matrix_rejected(self, tmp_path, shape):
-        # write_features refuses these shapes, so no file of them is valid.
+        # A header with an empty dimension is rejected whatever follows it;
+        # the writers refuse such matrices (test_writers_refuse_empty_matrix).
         path = tmp_path / "f.mfc"
         path.write_bytes(struct.pack("<4sIII", b"MFCC", 1, *shape))
         # Matched after the file name: the test's directory says "empty" too.
         with pytest.raises(FeatureFileError, match=r"f\.mfc: empty"):
             read_features(path)
+
+    @pytest.mark.parametrize("shape", [(0, 39), (0, 0), (5, 0)])
+    @pytest.mark.parametrize("writer", [write_features, write_features_csv])
+    def test_writers_refuse_empty_matrix(self, tmp_path, shape, writer):
+        path = tmp_path / "f.out"
+        with pytest.raises(ValueError, match="non-empty"):
+            writer(path, np.ones(shape))
+        assert not os.listdir(tmp_path)
 
     @settings(
         derandomize=True,

@@ -120,7 +120,7 @@ class TestReaders:
 
 
 class TestCommandLine:
-    """One command per example on one fuzzed file; the other inputs are valid."""
+    """One or two commands per example on one fuzzed file; the other inputs are valid."""
 
     @settings(FUZZ, max_examples=80)
     @given(kind=st.sampled_from(["manifest", "config", "wav", "bundle"]), data=st.data())
@@ -132,29 +132,31 @@ class TestCommandLine:
         path = str(tmp_path / f"input.{kind}")
         if kind == "bundle":
             blob = data.draw(bundle_descriptors(bundle_template))
-            argv = ["classify", "--bundle", fuzzed_bundle(bundle_template, tmp_path, blob),
-                    "--audio", wav]
+            commands = [["classify", "--bundle", fuzzed_bundle(bundle_template, tmp_path, blob),
+                         "--audio", wav]]
         else:
             blob = data.draw({"manifest": MANIFESTS, "config": CONFIGS, "wav": WAVS}[kind])
             with open(path, "wb") as fh:
                 fh.write(blob)
             if kind == "manifest":
-                argv = ["validate", "--manifest", path]
+                # validate reads no audio; stats opens every record's file.
+                commands = [["validate", "--manifest", path], ["stats", "--manifest", path]]
             elif kind == "config":
-                argv = ["extract", "--audio", wav, "--out", features, "--config", path]
+                commands = [["extract", "--audio", wav, "--out", features, "--config", path]]
             else:
                 wav_command = data.draw(st.sampled_from(["extract", "nasal", "stats"]))
                 if wav_command == "extract":
-                    argv = ["extract", "--audio", path, "--out", features]
+                    commands = [["extract", "--audio", path, "--out", features]]
                 elif wav_command == "nasal":
-                    argv = ["nasal", "--audio", path]
+                    commands = [["nasal", "--audio", path]]
                 else:
                     manifest = tmp_path / "m.tsv"
                     manifest.write_text(f"{path}\tspk\tLT\tmale\ttrain\n", encoding="utf-8")
-                    argv = ["stats", "--manifest", str(manifest)]
-        capsys.readouterr()
-        assert cli.run(argv) in (0, 1, 2)
-        assert "Traceback" not in capsys.readouterr().err
+                    commands = [["stats", "--manifest", str(manifest)]]
+        for argv in commands:
+            capsys.readouterr()
+            assert cli.run(argv) in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err
 
     @FUZZ
     @given(data=st.data())
