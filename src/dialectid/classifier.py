@@ -251,7 +251,7 @@ def _fit_and_score(
     within its own time, only the seeds that the rows before it did not."""
     start = time.perf_counter()
     try:
-        model, _ = em_fit(prepared.data, config, prepared)
+        model, _ = em_fit(prepared, config)
         fitted = time.perf_counter()
         scores = log_likelihood_segments(model, test_frames, starts)
     except Exception as exc:

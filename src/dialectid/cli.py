@@ -72,7 +72,7 @@ def _load_config(path) -> dict[str, str]:
     kv: dict[str, str] = {}
     key_lines: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
@@ -543,9 +543,9 @@ def run(argv=None) -> int:
 
 def main() -> None:
     """The `dialectid` command: run(), flush stdout and stderr, exit without teardown.
-    Output files are closed and worker threads joined before run() returns. An
-    interrupt (SIGINT) is one error line and status 130; atomic_open has then
-    removed any unfinished output file."""
+    Output files are closed before run() returns, and the exit ends any worker
+    thread still running after an error. An interrupt (SIGINT) is one error line
+    and status 130; atomic_open has then removed any unfinished output file."""
     try:
         status = run()
     except KeyboardInterrupt:

@@ -97,7 +97,7 @@ def load_manifest(path) -> CorpusManifest:
     base = os.path.dirname(os.path.abspath(path))
     records: list[UtteranceRecord] = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: manifest is not valid UTF-8 ({exc})") from None

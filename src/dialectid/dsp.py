@@ -168,19 +168,17 @@ def mel_to_hz(mel):
 
 
 @functools.lru_cache(maxsize=16)
-def mel_filterbank(config: MfccConfig, sample_rate: int) -> np.ndarray:
-    """Triangular mel filterbank, shape (num_mel_filters, fft_size//2 + 1).
+def mel_filterbank(config: MfccConfig) -> np.ndarray:
+    """Triangular mel filterbank at 16 kHz, shape (num_mel_filters, fft_size//2 + 1).
 
     Centers are uniformly spaced on the mel scale between low_freq_hz and
     high_freq_hz and snapped to FFT bins; each filter peaks at weight 1.0
-    on its center bin. Each bank is built once per (config, sample rate)
-    and the same read-only array is returned to every caller.
+    on its center bin. Each bank is built once per config and the same
+    read-only array is returned to every caller.
     """
     nfilt, nfft, high_hz = config.num_mel_filters, config.fft_size, config.high_freq_hz
-    if high_hz > sample_rate / 2.0:
-        raise ValueError("high_freq_hz exceeds the Nyquist frequency")
     mel_pts = np.linspace(hz_to_mel(config.low_freq_hz), hz_to_mel(high_hz), nfilt + 2)
-    bins = np.floor((nfft + 1) * mel_to_hz(mel_pts) / sample_rate).astype(int)
+    bins = np.floor((nfft + 1) * mel_to_hz(mel_pts) / CANONICAL_SAMPLE_RATE).astype(int)
     fbank = np.zeros((nfilt, nfft // 2 + 1))
     for j in range(nfilt):
         lo, center, hi = bins[j], bins[j + 1], bins[j + 2]
@@ -210,9 +208,7 @@ def _dct_basis(n: int, keep: int) -> np.ndarray:
     return basis
 
 
-def mel_filterbank_energies(
-    power_spectrum: np.ndarray, config: MfccConfig, sample_rate: int
-) -> np.ndarray:
+def mel_filterbank_energies(power_spectrum: np.ndarray, config: MfccConfig) -> np.ndarray:
     """Log mel-filterbank energies of a power spectrum.
 
     Accepts a single spectrum of length fft_size//2 + 1 or a batch of them
@@ -224,7 +220,7 @@ def mel_filterbank_energies(
         raise ValueError(
             f"power spectrum has {ps.shape[-1]} bins, expected {expected}"
         )
-    fbank = mel_filterbank(config, sample_rate)
+    fbank = mel_filterbank(config)
     energies = ps @ fbank.T
     return np.log(np.maximum(energies, ENERGY_FLOOR))
 
@@ -245,7 +241,7 @@ def extract_mfcc13(signal: AudioSignal, config: MfccConfig | None = None) -> np.
     frames = frame_signal(emphasized, config)
     spectrum = np.fft.rfft(frames, n=config.fft_size, axis=1)
     power = np.abs(spectrum) ** 2
-    log_mel = mel_filterbank_energies(power, config, signal.sample_rate)
+    log_mel = mel_filterbank_energies(power, config)
     return log_mel @ _dct_basis(config.num_mel_filters, config.num_cepstra)
 
 
@@ -301,13 +297,19 @@ def extract_segment(signal: AudioSignal, start_s: float, end_s: float) -> AudioS
     return AudioSignal(signal.samples[lo:hi].copy(), signal.sample_rate)
 
 
-def write_features(path, features: np.ndarray) -> None:
-    """Write a feature matrix: magic, version, num_frames, dim, f64-LE rows."""
+def _writable(features: np.ndarray) -> np.ndarray:
+    """The float64 matrix both feature writers write: non-empty, 2-D, finite."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.size == 0:
         raise ValueError("feature matrix must be a non-empty 2-D matrix")
     if not np.isfinite(f).all():
         raise ValueError("refusing to serialize non-finite features")
+    return f
+
+
+def write_features(path, features: np.ndarray) -> None:
+    """Write a feature matrix: magic, version, num_frames, dim, f64-LE rows."""
+    f = _writable(features)
     write_container(path, FEATURE_MAGIC, FEATURE_VERSION, f.shape, [f])
 
 
@@ -323,8 +325,6 @@ def read_features(path) -> np.ndarray:
 
 def write_features_csv(path, features: np.ndarray) -> None:
     """Plain-text export, one frame per line, full float64 precision."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.size == 0:
-        raise ValueError("feature matrix must be a non-empty 2-D matrix")
+    f = _writable(features)
     with atomic_open(path) as fh:
         np.savetxt(fh, f, delimiter=",", fmt="%.17g")

@@ -317,6 +317,7 @@ class TrainingFrames:
         if not np.isfinite(data).all():
             raise ValueError("training data contains non-finite values")
         self.data = data
+        self.shape = data.shape  # (T, D), like the matrix em_fit also takes
         self.seed = seed
         self.variance = data.var(axis=0)
         self.sq_norms = (data * data).sum(axis=1)
@@ -400,9 +401,7 @@ def kmeans_init(frames: TrainingFrames, config: TrainConfig) -> GmmModel:
     return GmmModel(counts / t, centers, variances)
 
 
-def em_fit(
-    data: np.ndarray, config: TrainConfig, frames: TrainingFrames | None = None
-) -> tuple[GmmModel, list[float]]:
+def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmModel, list[float]]:
     """Fit a diagonal GMM with EM; returns (model, per-iteration log-likelihoods).
 
     The trace is evaluated before each M-step and is non-decreasing (up to
@@ -412,11 +411,12 @@ def em_fit(
     1/num_frames weight, keeping the component count fixed. The E-step runs
     over blocks of BLOCK_FRAMES frames, so its working memory does not grow
     with the frame count beyond the [x^2, x] matrix of TrainingFrames.
-    frames, when given, must be TrainingFrames(data, config.rng_seed); the
-    fit is the same with or without it.
+    data is the frame matrix or its TrainingFrames, whose seed must be
+    config.rng_seed; the fit is the same either way.
     """
-    if frames is None:
-        frames = TrainingFrames(data, config.rng_seed)
+    frames = data if isinstance(data, TrainingFrames) else TrainingFrames(data, config.rng_seed)
+    if frames.seed != config.rng_seed:
+        raise ValueError(f"frames seeded with {frames.seed}, config.rng_seed is {config.rng_seed}")
     data = frames.data
     t, dim = data.shape
     floor, global_var = frames.variance_floor(config.variance_floor_factor)
@@ -507,8 +507,9 @@ def run_pair(lt_job, ct_job):
     cores are not oversubscribed and results are those of a one-thread BLAS
     whatever OPENBLAS_NUM_THREADS says. With one CPU the jobs run in turn,
     still on one BLAS thread; without the OpenBLAS setter they run in turn on
-    the BLAS's own threads. An LT error is raised before a CT error, as in
-    sequential order.
+    the BLAS's own threads. An LT exception, KeyboardInterrupt included, is
+    raised at once, before any CT error; the daemon CT thread then finishes
+    unwaited, its result dropped, on the restored BLAS thread count.
     """
     with one_blas_thread() as pinned:
         if not pinned or len(os.sched_getaffinity(0)) < 2:
@@ -521,12 +522,10 @@ def run_pair(lt_job, ct_job):
             except Exception as exc:
                 ct_outcome.append(exc)
 
-        worker = threading.Thread(target=run_ct, name="dialectid-ct")
+        worker = threading.Thread(target=run_ct, name="dialectid-ct", daemon=True)
         worker.start()
-        try:
-            lt = lt_job()
-        finally:
-            worker.join()
+        lt = lt_job()
+        worker.join()
         (ct,) = ct_outcome
         if isinstance(ct, Exception):
             raise ct

@@ -74,7 +74,7 @@ def manifest_texts():
     ).map("\t".join)
     line = st.lists(fields, min_size=1, max_size=8).map("\t".join) | labelled
     lines = st.lists(labelled, min_size=1, max_size=3) | st.lists(line, max_size=5)
-    return lines.map(lambda lines: "\n".join(lines).encode("utf-8"))
+    return utf8_files(lines)
 
 
 def config_texts(keys):
@@ -91,7 +91,14 @@ def config_texts(keys):
         st.sampled_from([" = ", "=", " "]),
         values,
     )
-    return st.lists(line, max_size=5).map(lambda lines: "\n".join(lines).encode("utf-8"))
+    return utf8_files(st.lists(line, max_size=5))
+
+
+def utf8_files(lines):
+    """The lines joined and UTF-8 encoded, some after a byte order mark, which
+    editors on Windows write and which the readers skip."""
+    return st.builds(lambda bom, lines: (bom + "\n".join(lines)).encode("utf-8"),
+                     st.sampled_from(["", "\ufeff"]), lines)
 
 
 def json_values():

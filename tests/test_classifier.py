@@ -703,8 +703,8 @@ class TestStagesOnTwoThreads:
         real = classifier.em_fit
         fitted = []
 
-        def failing(frames, config, prepared=None):
-            side = "lt" if np.array_equal(frames, lt_frames) else "ct"
+        def failing(frames, config):
+            side = "lt" if np.array_equal(frames.data, lt_frames) else "ct"
             fitted.append((side, config.num_components))
             failure = {
                 ("lt", 2): DialectIdError("lt 2"),
@@ -714,7 +714,7 @@ class TestStagesOnTwoThreads:
             }.get((side, config.num_components))
             if failure is not None:
                 raise failure
-            return real(frames, config, prepared)
+            return real(frames, config)
 
         monkeypatch.setattr(classifier, "em_fit", failing)
         manifest = tiny_corpus.manifest

@@ -24,6 +24,7 @@ from dialectid.cli import run
 from dialectid.corpus import Split, load_manifest, read_audio, write_manifest, write_wav
 from dialectid.dsp import AudioSignal, MfccConfig, extract_features, extract_segment, read_features
 from dialectid.nasalization import NasalConfig, segment_lp_spectra
+from dialectid.synth import generate_synthetic_corpus
 
 SR = 16000
 
@@ -211,6 +212,23 @@ class TestExtract:
         default = records_from(tmp_path / "a.jsonl")[0]["num_frames"]
         wide = records_from(tmp_path / "b.jsonl")[0]["num_frames"]
         assert wide < default
+
+    def test_config_with_a_byte_order_mark_is_read(self, tiny_corpus, tmp_path):
+        wav = tiny_corpus.manifest.records[0].audio_path
+        frames = []
+        for name, mark in (("plain", ""), ("marked", "\ufeff")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"{mark}mfcc.frame_shift_ms = 20\n", encoding="utf-8")
+            rec = tmp_path / f"{name}.jsonl"
+            code = run(
+                [
+                    "extract", "--audio", wav, "--out", str(tmp_path / f"{name}.bin"),
+                    "--format", "records", "--output", str(rec), "--config", str(cfg),
+                ]
+            )
+            assert code == 0
+            frames.append(records_from(rec)[0]["num_frames"])
+        assert frames[0] == frames[1]
 
     @pytest.mark.parametrize(
         "line",
@@ -1003,16 +1021,13 @@ class TestFastExit:
 
 
 class TestInterrupt:
-    def test_sigint_ends_a_sweep_with_one_error_line(self, tiny_corpus, tmp_path):
-        # 300 rows of about 0.1 s each: the interrupt waits for the CT half of
-        # one row, not for the ~30 s of rows left.
+    def interrupted(self, argv, config_text, tmp_path):
+        """(status, stderr, seconds to exit) of `dialectid argv` sent SIGINT 3 s in."""
         config = tmp_path / "long.cfg"
-        config.write_text("train.max_em_iterations = 200\ntrain.convergence_tol = 1e-300\n")
-        out = tmp_path / "sweep.txt"
-        argv = ["sweep", "--manifest", tiny_corpus.manifest_path, "--components",
-                ",".join(["16"] * 300), "--config", str(config), "--output", str(out)]
-        proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv], stderr=subprocess.PIPE,
-                                env=dict(os.environ, PYTHONPATH=SRC), text=True)
+        config.write_text(config_text)
+        proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv, "--config", str(config)],
+                                stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                                text=True)
         try:
             time.sleep(3)
             assert proc.poll() is None
@@ -1022,9 +1037,35 @@ class TestInterrupt:
             waited = time.monotonic() - sent
         finally:
             proc.kill()
-        assert (proc.returncode, err) == (130, "error: interrupted\n")
+        return proc.returncode, err, waited
+
+    def test_sigint_ends_a_sweep_with_one_error_line(self, tiny_corpus, tmp_path):
+        # 300 rows of about 0.1 s each: the interrupt ends the sweep in the
+        # row it lands in, without waiting for that row's CT fit or for the
+        # ~30 s of rows left.
+        out = tmp_path / "sweep.txt"
+        argv = ["sweep", "--manifest", tiny_corpus.manifest_path, "--components",
+                ",".join(["16"] * 300), "--output", str(out)]
+        config = "train.max_em_iterations = 200\ntrain.convergence_tol = 1e-300\n"
+        status, err, waited = self.interrupted(argv, config, tmp_path)
+        assert (status, err) == (130, "error: interrupted\n")
         assert waited < 5
         assert not out.exists() and not list(tmp_path.glob(".*.tmp"))
+
+    def test_sigint_ends_train_during_its_fits(self, tmp_path):
+        # On this corpus the M=128 fits take 3109 (LT) and 1634 (CT) EM
+        # iterations, tens of seconds each: the interrupt lands in the LT fit
+        # and must not wait for the CT one.
+        corpus = generate_synthetic_corpus(str(tmp_path / "corpus"), seed=5, train_per_class=30,
+                                           test_per_class=1, utterance_seconds=4.0)
+        out = tmp_path / "bundle"
+        argv = ["train", "--manifest", corpus.manifest_path, "--components", "128",
+                "--out", str(out)]
+        config = "train.max_em_iterations = 100000\ntrain.convergence_tol = 1e-300\n"
+        status, err, waited = self.interrupted(argv, config, tmp_path)
+        assert (status, err) == (130, "error: interrupted\n")
+        assert waited < 5
+        assert not out.exists() and not list(tmp_path.glob("**/.*.tmp"))
 
 
 class TestAtomicWrites:

@@ -100,6 +100,14 @@ class TestManifestParsing:
         m.write_text("", encoding="utf-8")
         assert load_manifest(m).records == []
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        write_lines(plain, ["wav/a.wav\tspk1\tLT\tmale\ttrain", "# comment"])
+        marked.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+        records = load_manifest(marked).records
+        assert records == load_manifest(plain).records
+        assert records[0].audio_path == str(tmp_path / "wav" / "a.wav")
+
     def test_absolute_paths_kept_verbatim(self, tmp_path):
         m = tmp_path / "m.tsv"
         write_lines(m, ["/abs/a.wav\ts\tLT\tmale\ttrain"])

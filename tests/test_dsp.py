@@ -130,30 +130,30 @@ class TestMelScale:
 class TestFilterbank:
     def test_matches_reference(self):
         cfg = MfccConfig()
-        got = mel_filterbank(cfg, SR)
+        got = mel_filterbank(cfg)
         want = reference.filterbank_ref(26, 512, SR, cfg.low_freq_hz, cfg.high_freq_hz)
         assert got.shape == (26, 257)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_every_filter_peaks_at_one(self):
-        bank = mel_filterbank(MfccConfig(), SR)
+        bank = mel_filterbank(MfccConfig())
         assert np.all(bank >= 0.0)
         assert np.allclose(bank.max(axis=1), 1.0)
 
     def test_cached_bank_is_shared_and_read_only(self):
-        bank = mel_filterbank(MfccConfig(), SR)
-        assert mel_filterbank(MfccConfig(), SR) is bank
+        bank = mel_filterbank(MfccConfig())
+        assert mel_filterbank(MfccConfig()) is bank
         with pytest.raises(ValueError):
             bank[0, 0] = 5.0
-        assert mel_filterbank(MfccConfig(num_mel_filters=20), SR).shape == (20, 257)
+        assert mel_filterbank(MfccConfig(num_mel_filters=20)).shape == (20, 257)
 
     def test_zero_spectrum_hits_the_log_floor(self):
-        logs = mel_filterbank_energies(np.zeros((3, 257)), MfccConfig(), SR)
+        logs = mel_filterbank_energies(np.zeros((3, 257)), MfccConfig())
         assert np.array_equal(logs, np.full((3, 26), math.log(ENERGY_FLOOR)))
 
     def test_bin_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mel_filterbank_energies(np.zeros((3, 129)), MfccConfig(), SR)
+            mel_filterbank_energies(np.zeros((3, 129)), MfccConfig())
 
 
 class TestStaticCepstra:
@@ -381,6 +381,14 @@ class TestFeatureFiles:
         path = tmp_path / "f.out"
         with pytest.raises(ValueError, match="non-empty"):
             writer(path, np.ones(shape))
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("writer", [write_features, write_features_csv])
+    def test_writers_refuse_non_finite_values(self, tmp_path, value, writer):
+        path = tmp_path / "f.out"
+        with pytest.raises(ValueError, match="non-finite"):
+            writer(path, np.array([[value, 1.0]]))
         assert not os.listdir(tmp_path)
 
     @settings(

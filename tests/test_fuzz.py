@@ -28,6 +28,7 @@ WAVS = st.binary(max_size=60) | mutations(wav_bytes()) | wav_headers()
 MANIFESTS = st.binary(max_size=60) | manifest_texts()
 CONFIG_KEYS = set().union(*map(cli._section_keys, cli._SECTIONS))
 CONFIGS = st.binary(max_size=60) | config_texts(CONFIG_KEYS)
+BOM = "\ufeff".encode("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,22 @@ def bundle_template(tiny_corpus, tmp_path_factory):
         for key in descriptor[section]
     ]
     return out, descriptor, paths
+
+
+def load_or_error(load, path, blob):
+    """load(path) of a file holding blob, or the DialectIdError type it raised."""
+    path.write_bytes(blob)
+    try:
+        return load(path)
+    except DialectIdError as exc:
+        return type(exc)
+
+
+def same_without_bom(load, path, blob, loaded):
+    """A blob that starts with one UTF-8 byte order mark loads as it does
+    without it. (A second mark is text: utf-8-sig skips only one.)"""
+    if blob[:3] == BOM != blob[3:6]:
+        assert load_or_error(load, path, blob[3:]) == loaded
 
 
 def bundle_descriptors(template):
@@ -67,23 +84,19 @@ class TestReaders:
     @given(blob=MANIFESTS)
     def test_manifest(self, tmp_path, blob):
         path = tmp_path / "m.tsv"
-        path.write_bytes(blob)
-        try:
-            manifest = load_manifest(path)
-        except DialectIdError:
-            return
-        assert all(os.path.isabs(r.audio_path) for r in manifest.records)
+        manifest = load_or_error(load_manifest, path, blob)
+        same_without_bom(load_manifest, path, blob, manifest)
+        if not isinstance(manifest, type):
+            assert all(os.path.isabs(r.audio_path) for r in manifest.records)
 
     @FUZZ
     @given(blob=CONFIGS)
     def test_config(self, tmp_path, blob):
         path = tmp_path / "c.cfg"
-        path.write_bytes(blob)
-        try:
-            kv = cli._load_config(path)
-        except DialectIdError:
-            return
-        assert set(kv) <= CONFIG_KEYS
+        kv = load_or_error(cli._load_config, path, blob)
+        same_without_bom(cli._load_config, path, blob, kv)
+        if not isinstance(kv, type):
+            assert set(kv) <= CONFIG_KEYS
 
     @FUZZ
     @given(blob=WAVS)

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -279,6 +281,29 @@ class TestPairedFits:
         with pytest.raises(FewerFramesThanComponents, match="^4 frames"):
             self.paired_fits(rng.standard_normal((4, 2)), rng.standard_normal((6, 2)))
 
+    @pytest.mark.parametrize("error", [FewerFramesThanComponents("lt"), KeyboardInterrupt()])
+    def test_lt_exception_does_not_wait_for_the_ct_job(self, monkeypatch, error):
+        if gmm._openblas_thread_functions() is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+        monkeypatch.setattr(gmm.os, "sched_getaffinity", lambda pid: {0, 1})
+        release, finished = threading.Event(), threading.Event()
+
+        def lt_job():
+            raise error
+
+        def ct_job():
+            release.wait(5)  # bounded: a run_pair that waited would fail, not hang
+            finished.set()
+
+        start = time.monotonic()
+        try:
+            with pytest.raises(type(error)):
+                run_pair(lt_job, ct_job)
+            assert time.monotonic() - start < 1 and not finished.is_set()
+        finally:
+            release.set()
+        assert finished.wait(5)
+
 
 def rel_err(got, want):
     """Largest absolute difference relative to the largest reference entry."""
@@ -522,8 +547,13 @@ class TestSharedTrainingFrames:
         with gmm.one_blas_thread():
             for k in range(1, 25):
                 config = dataclasses.replace(self.CONFIG, num_components=k)
-                assert_same_fit(em_fit(data, config, frames), em_fit(data, config))
-        assert len(frames._order) == 24
+                assert_same_fit(em_fit(frames, config), em_fit(data, config))
+        assert len(frames._order) == 24 and frames.shape == data.shape
+
+    def test_frames_seeded_otherwise_than_the_config_rejected(self):
+        data = blob_frames(np.random.default_rng(65), 100, 3, spread=3.0)
+        with pytest.raises(ValueError, match="seeded with 7, config.rng_seed is 4"):
+            em_fit(gmm.TrainingFrames(data, seed=7), self.CONFIG)
 
     def test_more_seeds_than_frames_rejected_before_any_pick(self):
         data = blob_frames(np.random.default_rng(62), 100, 3, spread=3.0)
