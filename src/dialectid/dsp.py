@@ -250,12 +250,10 @@ def _regression_delta(x: np.ndarray, window: int) -> np.ndarray:
     # clamped to the matrix edges (first/last frame replication).
     t = x.shape[0]
     denom = 2.0 * sum(d * d for d in range(1, window + 1))
+    padded = np.pad(x, ((window, window), (0, 0)), mode="edge")
     out = np.zeros_like(x)
-    base = np.arange(t)
     for d in range(1, window + 1):
-        fwd = np.clip(base + d, 0, t - 1)
-        bwd = np.clip(base - d, 0, t - 1)
-        out += d * (x[fwd] - x[bwd])
+        out += d * (padded[window + d : window + d + t] - padded[window - d : window - d + t])
     return out / denom
 
 

@@ -46,10 +46,10 @@ _MIN_VARIANCE = 1e-12
 # working memory is O(BLOCK_FRAMES * M) instead of O(frames * M).
 BLOCK_FRAMES = 4096
 
-# Log-joints more than this far below their frame's peak are flushed to exact
-# zero responsibilities instead of going through exp. Their exps would be
-# below e^-700 of a row sum that is at least 1, so the sums absorb them; but
-# exp takes a slow path for inputs below about -708, whose results are
+# Log-joints more than this far below their frame's peak are set to -inf,
+# which exp maps to exact zero responsibilities. Their exps would be below
+# e^-700 of a row sum that is at least 1, so the sums absorb them; but exp
+# takes a slow path for finite inputs below about -708, whose results are
 # subnormal or zero, and subnormal responsibilities slow the statistics GEMM.
 EXP_CUT = -700.0
 
@@ -171,33 +171,11 @@ def _block_posteriors(
     peak = post.max(axis=1)
     # All-(-inf) rows cannot occur: weights sum to one, so the max is finite.
     post -= peak[:, None]
-    # The flush's mask passes cost more than a fast exp, so a block with
-    # nothing below the cut skips them; both branches give the same numbers.
-    # A zero-weight component's column is all -inf, which exp maps to exact
-    # zeros on its fast path, so such columns do not count. Their per-column
-    # minimum is taken only when there are some: on a 3576-frame block it
-    # costs 170 us at M=16 and 590 us at M=256, against 11 us and 350 us for
-    # the whole-block minimum and 74 us and 1.4 ms for the exp itself.
-    live = const > -np.inf
-    lowest = post.min() if live.all() else post.min(axis=0)[live].min()
-    if lowest < EXP_CUT:
-        keep = post >= EXP_CUT
-        np.maximum(post, EXP_CUT, out=post)
-        np.exp(post, out=post)
-        post *= keep
-    else:
-        np.exp(post, out=post)
+    # exp(-inf) is +0.0, as for a zero-weight component's log-joints.
+    np.putmask(post, post < EXP_CUT, -np.inf)
+    np.exp(post, out=post)
     row_sum = post.sum(axis=1)
     return peak + np.log(row_sum), post, row_sum
-
-
-def _frame_log_likelihoods(model: GmmModel, frames: np.ndarray) -> np.ndarray:
-    proj, const = _kernel(model.weights, model.means, model.variances)
-    out = np.empty(frames.shape[0])
-    for lo in range(0, frames.shape[0], BLOCK_FRAMES):
-        x2 = _squares_and_frames(frames[lo : lo + BLOCK_FRAMES])
-        out[lo : lo + x2.shape[0]] = _block_posteriors(x2, proj, const)[0]
-    return out
 
 
 def log_likelihood_segments(model: GmmModel, frames: np.ndarray, starts) -> list[float]:
@@ -216,7 +194,11 @@ def log_likelihood_segments(model: GmmModel, frames: np.ndarray, starts) -> list
         raise ValueError("empty feature matrix")
     if f.shape[1] != model.dim:
         raise ValueError(f"frame dim {f.shape[1]} != model dim {model.dim}")
-    ll = _frame_log_likelihoods(model, f).tolist()
+    proj, const = _kernel(model.weights, model.means, model.variances)
+    ll: list[float] = []
+    for lo in range(0, f.shape[0], BLOCK_FRAMES):
+        x2 = _squares_and_frames(f[lo : lo + BLOCK_FRAMES])
+        ll += _block_posteriors(x2, proj, const)[0].tolist()
     return [math.fsum(ll[lo:hi]) for lo, hi in zip(starts, [*starts[1:], None])]
 
 
@@ -509,25 +491,27 @@ def run_pair(lt_job, ct_job):
     still on one BLAS thread; without the OpenBLAS setter they run in turn on
     the BLAS's own threads. An LT exception, KeyboardInterrupt included, is
     raised at once, before any CT error; the daemon CT thread then finishes
-    unwaited, its result dropped, on the restored BLAS thread count.
+    unwaited, its result dropped, on the restored BLAS thread count. A CT
+    exception, SystemExit included, is raised after the LT job returns, as
+    the jobs in turn would raise it; a returned exception is a result.
     """
     with one_blas_thread() as pinned:
         if not pinned or len(os.sched_getaffinity(0)) < 2:
             return lt_job(), ct_job()
-        ct_outcome: list = []
+        ct_outcome: list = []  # [(raised, value)]
 
         def run_ct():
             try:
-                ct_outcome.append(ct_job())
-            except Exception as exc:
-                ct_outcome.append(exc)
+                ct_outcome.append((False, ct_job()))
+            except BaseException as exc:
+                ct_outcome.append((True, exc))
 
         worker = threading.Thread(target=run_ct, name="dialectid-ct", daemon=True)
         worker.start()
         lt = lt_job()
         worker.join()
-        (ct,) = ct_outcome
-        if isinstance(ct, Exception):
+        ((raised, ct),) = ct_outcome
+        if raised:
             raise ct
         return lt, ct
 

@@ -331,14 +331,14 @@ def analyze_segment(
     hits = np.empty(indices.size, dtype=bool)
     peak_db = np.empty(indices.size)
     if dump is not None:
-        prefixes = [f"{f!r} " for f in spectrum_frequencies(config.fft_size, rate).tolist()]
+        freqs = spectrum_frequencies(config.fft_size, rate).tolist()
+        template = "# frame %d\n" + "".join(f"{f!r} %r\n" for f in freqs) + "\n"
     for rows, spectra in blocks:
         bins[rows], hits[rows] = _band_peaks(spectra, band, config.prominence_db)
         peak_db[rows] = spectra[np.arange(spectra.shape[0]), bins[rows]]
         if dump is not None:
             for index, db in zip(indices[rows].tolist(), spectra):
-                body = "\n".join(map(str.__add__, prefixes, map(repr, db.tolist())))
-                dump.write(f"# frame {index}\n{body}\n\n")
+                dump.write(template % (index, *db.tolist()))
     peak_hz = bins * rate / config.fft_size
     frame_peaks = [
         FramePeak(*peak)

@@ -113,6 +113,21 @@ def deltas_ref(static, window):
     return out
 
 
+def deltas_clipped_index(static, window):
+    """The same deltas over whole columns, gathering x[t +- d] through index
+    arrays clipped to [0, T - 1]: the vectorized formula that edge padding
+    must reproduce bit for bit."""
+    t_count = static.shape[0]
+    denom = 2.0 * sum(d * d for d in range(1, window + 1))
+    out = np.zeros_like(static)
+    base = np.arange(t_count)
+    for d in range(1, window + 1):
+        fwd = np.clip(base + d, 0, t_count - 1)
+        bwd = np.clip(base - d, 0, t_count - 1)
+        out += d * (static[fwd] - static[bwd])
+    return out / denom
+
+
 def features39_ref(samples, sample_rate, cfg):
     """Full 39-dim chain: static + velocity + acceleration, mean removed."""
     static = mfcc13_ref(samples, sample_rate, cfg)

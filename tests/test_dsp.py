@@ -258,6 +258,17 @@ class TestDeltas:
         assert np.allclose(feats[:, 13:26], vel, atol=1e-12)
         assert np.allclose(feats[:, 26:], acc, atol=1e-12)
 
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 100])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 50, 300])
+    def test_bytes_match_clipped_index_formula(self, t, window):
+        # Short matrices (t below the window) clamp most indices to an edge.
+        static = np.random.default_rng(t * 1000 + window).standard_normal((t, 13))
+        feats = append_deltas(static, delta_window=window)
+        vel = reference.deltas_clipped_index(static, window)
+        acc = reference.deltas_clipped_index(vel, window)
+        assert feats[:, 13:26].tobytes() == vel.tobytes()
+        assert feats[:, 26:].tobytes() == acc.tobytes()
+
 
 class TestCepstralMeanSubtraction:
     def test_zero_column_means(self):

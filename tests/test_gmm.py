@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -304,6 +305,25 @@ class TestPairedFits:
             release.set()
         assert finished.wait(5)
 
+    @pytest.fixture(params=["two-thread", "one-cpu"])
+    def mode(self, request, monkeypatch):
+        if request.param == "two-thread":
+            if gmm._openblas_thread_functions() is None:
+                pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+            monkeypatch.setattr(gmm.os, "sched_getaffinity", lambda pid: {0, 1})
+        else:
+            monkeypatch.setattr(gmm.os, "sched_getaffinity", lambda pid: {0})
+        return request.param
+
+    def test_ct_system_exit_is_raised_as_itself(self, mode):
+        with pytest.raises(SystemExit) as info:
+            run_pair(lambda: 1, lambda: sys.exit(3))
+        assert info.value.code == 3
+
+    def test_returned_exception_is_a_ct_result(self, mode):
+        error = ValueError("x")
+        assert run_pair(lambda: 1, lambda: error) == (1, error)
+
 
 def rel_err(got, want):
     """Largest absolute difference relative to the largest reference entry."""
@@ -430,8 +450,8 @@ class TestBatchedKernelsAgainstReferences:
 
 
 class TestExpFlush:
-    """_block_posteriors flushes log-joints below EXP_CUT to zero instead of
-    exponentiating them; reference.block_posteriors_plain_exp does not."""
+    """_block_posteriors flushes log-joints below EXP_CUT to -inf, so exp
+    makes them exact zeros; reference.block_posteriors_plain_exp does not."""
 
     def deep_block(self):
         # Far-apart narrow components, one with zero weight, so each frame's
@@ -477,9 +497,21 @@ class TestExpFlush:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    def test_zero_weight_columns_alone_do_not_take_the_flush(self, monkeypatch):
+    def test_log_joint_at_the_cut_is_kept_and_just_below_is_flushed(self):
+        # One frame, three components: log-joints 0, EXP_CUT and the next
+        # float below EXP_CUT relative to the peak, set directly in const.
+        proj = np.zeros((3, 2))
+        const = np.array([0.0, EXP_CUT, np.nextafter(EXP_CUT, -np.inf)])
+        frame_ll, post, row_sum = gmm._block_posteriors(np.zeros((1, 2)), proj, const)
+        assert post[0, 0] == 1.0
+        assert post[0, 1] == np.exp(EXP_CUT) == math.exp(-700.0)
+        assert post[0, 2] == 0.0 and not np.signbit(post[0, 2])
+        assert row_sum[0] == 1.0 + math.exp(-700.0)
+        assert frame_ll[0] == np.log(row_sum[0])
+
+    def test_zero_weight_columns_alone_are_plain_exp(self):
         # A zero-weight component's log-joints are all -inf; exp gives their
-        # zeros on its fast path, so they must not switch on the mask passes.
+        # +0.0 zeros, and every other entry is np.exp's value.
         rng = np.random.default_rng(53)
         model = random_model(rng, 16, 5)
         model.weights[3] = 0.0
@@ -491,12 +523,8 @@ class TestExpFlush:
         assert np.isneginf(log_joint[:, 3]).all()
         assert np.delete(log_joint, 3, axis=1).min() >= EXP_CUT
         want = reference.block_posteriors_plain_exp(x2, proj, const)
-        flushes = []
-        real = np.maximum
-        monkeypatch.setattr(np, "maximum", lambda *a, **k: flushes.append(1) or real(*a, **k))
         got = gmm._block_posteriors(x2, proj, const)
-        monkeypatch.undo()
-        assert not flushes
+        assert not np.signbit(got[1]).any()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
