@@ -26,10 +26,11 @@ from .gmm import (
     TrainingFrames,
     em_fit,
     load_model,
-    log_likelihood_segments,
+    log_likelihood_segments_x2,
     log_likelihood_sequence,
     run_pair,
     save_model,
+    squares_and_frames,
 )
 from .labels import SWEEP_COMPONENTS, DialectLabel
 
@@ -137,21 +138,21 @@ def _record_features(rec: UtteranceRecord, feature_config: MfccConfig) -> np.nda
 
 
 def _pooled_training_frames(
-    manifest: CorpusManifest, dialect: DialectLabel, feature_config: MfccConfig
-) -> np.ndarray:
+    manifest: CorpusManifest, dialect: DialectLabel, feature_config: MfccConfig, pool=np.vstack
+):
+    """pool(list of the features of each of the dialect's training utterances)."""
     records = manifest.subset(dialect, Split.TRAIN)
     if not records:
         raise MissingDialectError(f"no {dialect.value} training utterances in manifest")
-    return np.vstack([_record_features(rec, feature_config) for rec in records])
+    return pool([_record_features(rec, feature_config) for rec in records])
 
 
-def _pooled_pair(
-    manifest: CorpusManifest, feature_config: MfccConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled (LT, CT) training frames, extracted concurrently by run_pair."""
+def _pooled_pair(manifest: CorpusManifest, feature_config: MfccConfig, pool=np.vstack) -> tuple:
+    """Pooled (LT, CT) training frames, extracted concurrently by run_pair,
+    each pooled on its own thread."""
     return run_pair(
-        lambda: _pooled_training_frames(manifest, DialectLabel.LT, feature_config),
-        lambda: _pooled_training_frames(manifest, DialectLabel.CT, feature_config),
+        lambda: _pooled_training_frames(manifest, DialectLabel.LT, feature_config, pool),
+        lambda: _pooled_training_frames(manifest, DialectLabel.CT, feature_config, pool),
     )
 
 
@@ -243,7 +244,7 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
 
 
 def _fit_and_score(
-    prepared: TrainingFrames, config: TrainConfig, test_frames: np.ndarray, starts: list[int]
+    prepared: TrainingFrames, config: TrainConfig, test_x2: np.ndarray, starts: list[int]
 ) -> tuple:
     """One dialect's part of a sweep row: (the test utterances'
     log-likelihoods or the exception the fit or scoring raised, fit seconds,
@@ -253,7 +254,7 @@ def _fit_and_score(
     try:
         model, _ = em_fit(prepared, config)
         fitted = time.perf_counter()
-        scores = log_likelihood_segments(model, test_frames, starts)
+        scores = log_likelihood_segments_x2(model, test_x2, starts)
     except Exception as exc:
         return exc, time.perf_counter() - start, 0.0
     return scores, fitted - start, time.perf_counter() - fitted
@@ -270,9 +271,11 @@ def sweep_mixtures(
 
     Features are extracted once and shared across rows, on two threads
     through run_pair: the LT and CT training frames, then the two halves of
-    the test set. Each dialect's rows share one TrainingFrames, built before
-    them like the features. The rows run in order, each fitting and scoring
-    its LT and CT models together through run_pair. A row that fails (for
+    the test set. Each of these three frame sets is then held once, as its
+    [x^2, x] buffer built on the calling thread, and each dialect's rows
+    share one TrainingFrames around its buffer. The rows run in order, each
+    fitting and scoring its LT and CT models together through run_pair, and
+    score the test buffer's slices. A row that fails (for
     example, fewer frames than components) is recorded with its error
     message, LT's before CT's, and the sweep moves on; any other exception
     is raised, LT's before CT's, and no later row runs.
@@ -283,7 +286,7 @@ def sweep_mixtures(
     if any(c < 1 for c in counts):
         raise ValueError("component counts must be positive")
 
-    lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
+    lt_parts, ct_parts = _pooled_pair(train_manifest, feature_config, pool=list)
     # Contiguous halves: run_pair raises the first half's error first, so
     # the first bad record in manifest order is the one reported.
     records = _test_records(test_manifest)
@@ -294,18 +297,20 @@ def sweep_mixtures(
     )
     lengths = [f.shape[0] for f in first + second]
     starts = np.cumsum([0, *lengths[:-1]]).tolist()
-    test_frames = np.vstack(first + second)
+    test_x2 = squares_and_frames(*first, *second)
     del first, second
-    lt_side = TrainingFrames(lt_frames, base_train_config.rng_seed)
-    ct_side = TrainingFrames(ct_frames, base_train_config.rng_seed)
-    lt_side.x2, ct_side.x2  # made here, so that the first row does not pay for them
+    seed = base_train_config.rng_seed
+    lt_side = TrainingFrames.around(squares_and_frames(*lt_parts), seed)
+    del lt_parts
+    ct_side = TrainingFrames.around(squares_and_frames(*ct_parts), seed)
+    del ct_parts
 
     rows = []
     for count in counts:
         config = replace(base_train_config, num_components=count)
         (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) = run_pair(
-            lambda: _fit_and_score(lt_side, config, test_frames, starts),
-            lambda: _fit_and_score(ct_side, config, test_frames, starts),
+            lambda: _fit_and_score(lt_side, config, test_x2, starts),
+            lambda: _fit_and_score(ct_side, config, test_x2, starts),
         )
         times = (
             max(lt_fit + lt_score, ct_fit + ct_score),

@@ -13,11 +13,11 @@ One executable, one subcommand per pipeline stage:
     synth     seeded synthetic two-dialect corpus
 
 Exit codes: 0 success, 1 data error (bad audio, bad manifest, corrupt
-model, failed validation), 2 usage error, and 130 from main() when
-interrupted. Reports go to stdout or --output, as plain text or
-line-delimited JSON records (--format records). Identical argv + input
-files + seed reproduce identical outputs byte for byte, except for the
-wall-clock times in sweep reports.
+model, failed validation), 2 usage error, and from main() 130 when
+interrupted (SIGINT) or 143 when terminated (SIGTERM). Reports go to stdout
+or --output, as plain text or line-delimited JSON records (--format
+records). Identical argv + input files + seed reproduce identical outputs
+byte for byte, except for the wall-clock times in sweep reports.
 
 Each command imports only the modules it runs. main(), the `dialectid`
 command, flushes stdout and stderr once run() returns and ends the process
@@ -32,6 +32,7 @@ import importlib
 import json
 import math
 import os
+import signal
 import sys
 from contextlib import nullcontext, suppress
 
@@ -541,16 +542,26 @@ def run(argv=None) -> int:
         return 1
 
 
+class _Terminated(KeyboardInterrupt):
+    """Raised in the main thread on SIGTERM, so that it unwinds like SIGINT."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main() -> None:
     """The `dialectid` command: run(), flush stdout and stderr, exit without teardown.
     Output files are closed before run() returns, and the exit ends any worker
     thread still running after an error. An interrupt (SIGINT) is one error line
-    and status 130; atomic_open has then removed any unfinished output file."""
+    and status 130, and a termination (SIGTERM) one line and status 143;
+    atomic_open has then removed any unfinished output file."""
+    signal.signal(signal.SIGTERM, _terminate)
     try:
         status = run()
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        status = 130
+    except KeyboardInterrupt as exc:
+        stop, status = ("terminated", 143) if isinstance(exc, _Terminated) else ("interrupted", 130)
+        print(f"error: {stop}", file=sys.stderr)
     try:
         if sys.stdout is not None:
             sys.stdout.flush()

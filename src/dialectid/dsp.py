@@ -39,6 +39,12 @@ MAX_FFT_SIZE = 2**16
 # Largest accepted delta_window: the regression takes one pass per unit of it.
 MAX_DELTA_WINDOW = 100
 
+# Largest accepted num_mel_filters, and so num_cepstra, far above the 20-40
+# of speech front ends. The filterbank holds num_mel_filters x (fft_size // 2
+# + 1) values and the DCT basis num_cepstra x num_mel_filters: at most 67 MB
+# and 0.5 MB here, against 8 GiB each for 32769 filters at MAX_FFT_SIZE.
+MAX_MEL_FILTERS = 256
+
 
 @dataclass(eq=False)
 class AudioSignal:
@@ -88,9 +94,10 @@ class MfccConfig(Framing):
 
     frame_length_ms / frame_shift_ms: analysis window and hop.
     preemphasis_coeff: first-order high-pass coefficient in [0, 1).
-    num_mel_filters: triangular filters between low_freq_hz and high_freq_hz.
+    num_mel_filters: triangular filters between low_freq_hz and high_freq_hz,
+    1..MAX_MEL_FILTERS.
     fft_size: power of two, at least one 16 kHz frame long.
-    num_cepstra: cepstra kept per frame (c0 included).
+    num_cepstra: cepstra kept per frame (c0 included), 1..num_mel_filters.
     delta_window: regression half-width for velocity/acceleration, 1..MAX_DELTA_WINDOW.
     """
 
@@ -122,6 +129,9 @@ class MfccConfig(Framing):
             raise ValueError("fft_size is shorter than one 16 kHz frame")
         if self.high_freq_hz > CANONICAL_SAMPLE_RATE / 2:
             raise ValueError("high_freq_hz exceeds 8000 Hz, the Nyquist frequency at 16 kHz")
+        # Last, so that a value rejected for another reason keeps that reason.
+        if self.num_mel_filters > MAX_MEL_FILTERS:
+            raise ValueError(f"num_mel_filters must be at most {MAX_MEL_FILTERS}")
 
 
 def preemphasize(signal: AudioSignal, coeff: float) -> AudioSignal:

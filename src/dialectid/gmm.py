@@ -151,9 +151,15 @@ def _kernel(
     return proj, const
 
 
-def _squares_and_frames(frames: np.ndarray) -> np.ndarray:
-    """[x^2, x] per frame, shape (T, 2D): the left operand of the kernel."""
-    return np.hstack([frames * frames, frames])
+def squares_and_frames(*parts: np.ndarray) -> np.ndarray:
+    """[x^2, x] per frame of the parts stacked in order, shape (T, 2D): the
+    left operand of the kernel. The frames go straight into the right half
+    and are squared from there, so no stacked copy of them is made."""
+    dim = parts[0].shape[1]
+    x2 = np.empty((sum(p.shape[0] for p in parts), 2 * dim))
+    np.concatenate(parts, out=x2[:, dim:])
+    np.multiply(x2[:, dim:], x2[:, dim:], out=x2[:, :dim])
+    return x2
 
 
 def _block_posteriors(
@@ -178,14 +184,23 @@ def _block_posteriors(
     return peak + np.log(row_sum), post, row_sum
 
 
+def _segment_sums(model: GmmModel, blocks, starts) -> list[float]:
+    """Total log-likelihood of each segment, from the frames' [x^2, x]
+    blocks in order, segment i running from frame starts[i] to starts[i + 1]
+    and the last one to the end. Exact (fsum) accumulation over frames makes
+    each value independent of how the frames are blocked."""
+    proj, const = _kernel(model.weights, model.means, model.variances)
+    ll: list[float] = []
+    for x2 in blocks:
+        ll += _block_posteriors(x2, proj, const)[0].tolist()
+    return [math.fsum(ll[lo:hi]) for lo, hi in zip(starts, [*starts[1:], None])]
+
+
 def log_likelihood_segments(model: GmmModel, frames: np.ndarray, starts) -> list[float]:
     """Total log-likelihood of each segment of a stacked frame matrix,
     segment i being frames[starts[i]:starts[i + 1]], the last one running to
     the end. One blocked pass scores every frame, so short segments do not
-    each pay for a call.
-
-    Uses exact (fsum) accumulation over frames, so each value is independent
-    of how the frames are chunked.
+    each pay for a call; each block's [x^2, x] is made as it is scored.
     """
     f = np.asarray(frames, dtype=np.float64)
     if f.ndim != 2:
@@ -194,12 +209,17 @@ def log_likelihood_segments(model: GmmModel, frames: np.ndarray, starts) -> list
         raise ValueError("empty feature matrix")
     if f.shape[1] != model.dim:
         raise ValueError(f"frame dim {f.shape[1]} != model dim {model.dim}")
-    proj, const = _kernel(model.weights, model.means, model.variances)
-    ll: list[float] = []
-    for lo in range(0, f.shape[0], BLOCK_FRAMES):
-        x2 = _squares_and_frames(f[lo : lo + BLOCK_FRAMES])
-        ll += _block_posteriors(x2, proj, const)[0].tolist()
-    return [math.fsum(ll[lo:hi]) for lo, hi in zip(starts, [*starts[1:], None])]
+    blocks = (squares_and_frames(f[lo : lo + BLOCK_FRAMES])
+              for lo in range(0, len(f), BLOCK_FRAMES))
+    return _segment_sums(model, blocks, starts)
+
+
+def log_likelihood_segments_x2(model: GmmModel, x2: np.ndarray, starts) -> list[float]:
+    """log_likelihood_segments of the frames whose [x^2, x] buffer x2 is
+    (see squares_and_frames), scoring its BLOCK_FRAMES-row slices as they
+    are: the same blocks, so the same values."""
+    blocks = (x2[lo : lo + BLOCK_FRAMES] for lo in range(0, len(x2), BLOCK_FRAMES))
+    return _segment_sums(model, blocks, starts)
 
 
 def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
@@ -306,12 +326,22 @@ class TrainingFrames:
         self._order: list[int] = []
         self._min_d2 = None
 
+    @classmethod
+    def around(cls, x2: np.ndarray, seed: int) -> TrainingFrames:
+        """TrainingFrames of the frames whose [x^2, x] buffer x2 is (see
+        squares_and_frames): data is its x half, a strided view, and x2 the
+        buffer itself, so the frames are held once. Fits on it are those on
+        the frames as a matrix."""
+        frames = cls(x2[:, x2.shape[1] // 2 :], seed)
+        frames.x2 = x2
+        return frames
+
     @functools.cached_property
     def x2(self) -> np.ndarray:
-        """[x^2, x] of the frames, made at first use. em_fit first uses it
-        after its k-means step, so a lone fit never holds it and the k-means
-        working set at once."""
-        return _squares_and_frames(self.data)
+        """[x^2, x] of the frames, made at first use unless given to around.
+        em_fit first uses it after its k-means step, so a lone fit never
+        holds it and the k-means working set at once."""
+        return squares_and_frames(self.data)
 
     def variance_floor(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
         """(per-dimension variance floor, floored global variance)."""

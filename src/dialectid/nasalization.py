@@ -28,6 +28,12 @@ from .labels import DialectLabel
 COMPARABLE_MARGIN_DB = 0.5
 SPECTRUM_BLOCK_BINS = 2**18  # LP spectrum values made at once; peak ~18.3 bytes each, ~4.8 MB
 
+# Largest accepted lpc_order, far above the 10-30 of speech LP analysis. The
+# autocorrelation and the Levinson-Durbin recursion each take one pass per
+# order, so a frame costs O(order^2) besides O(order * frame length): at 512
+# a 5 s segment took 0.27 s, at the default 18 it took 0.01 s.
+MAX_LPC_ORDER = 512
+
 
 @dataclass
 class NasalConfig(Framing):
@@ -52,6 +58,9 @@ class NasalConfig(Framing):
             raise ValueError("prominence_db must be non-negative")
         if self.prominence_span_hz <= 0.0:
             raise ValueError("prominence_span_hz must be positive")
+        # Last, so that a value rejected for another reason keeps that reason.
+        if self.lpc_order > MAX_LPC_ORDER:
+            raise ValueError(f"lpc_order must be at most {MAX_LPC_ORDER}")
 
 
 @dataclass(eq=False)

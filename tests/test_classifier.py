@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,47 @@ class TestSweep:
         )
         assert [len(seeds._order) for seeds in made] == [2, 2]
         assert [r.error is None for r in rows] == [True, True, False]
+
+    def test_rows_hold_each_frame_set_once(self, tiny_corpus, monkeypatch):
+        # Each side's frames are the x half of its [x^2, x] buffer, and the
+        # test frames are one more such buffer: when the first fit starts,
+        # the sweep holds those three buffers and little else. A second T x D
+        # copy of the training frames would add half of their buffers.
+        made, held = [], []
+
+        class Recorded(gmm.TrainingFrames):
+            def __init__(self, data, seed):
+                super().__init__(data, seed)
+                made.append(self)
+
+        def fit(frames, config):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return em_fit(frames, config)
+
+        monkeypatch.setattr(classifier, "TrainingFrames", Recorded)
+        monkeypatch.setattr(classifier, "em_fit", fit)
+        # In turn, so that nothing of the CT job is allocated when LT starts.
+        monkeypatch.setattr(classifier, "run_pair", lambda lt_job, ct_job: (lt_job(), ct_job()))
+        test = CorpusManifest(tiny_corpus.manifest.subset(split=Split.TEST)[:2])
+        args = (tiny_corpus.manifest, test, MfccConfig(), TrainConfig(1), [1])
+        sweep_mixtures(*args)  # fills the front end's caches
+        made.clear()
+        held.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sweep_mixtures(*args)
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 2
+        for side in made:
+            assert side.x2.shape == (side.shape[0], 2 * side.shape[1])
+            assert np.shares_memory(side.data, side.x2)
+        test_frames = sum(
+            classifier._record_features(rec, MfccConfig()).shape[0] for rec in test.records
+        )
+        buffers = 8 * 2 * made[0].shape[1] * (made[0].shape[0] + made[1].shape[0] + test_frames)
+        assert held[0] - before < 1.1 * buffers
 
     def test_row_times_are_the_slower_dialects(self, tiny_corpus):
         (row,) = sweep_mixtures(

@@ -111,6 +111,8 @@ class TestUsageErrors:
             (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{huge_delta_cfg}"], 1),
             (["stats", "--manifest", "{nul_manifest}"], 1),
             (["train", "--manifest", "{nul_manifest}", "--components", "1", "--out", "{out}"], 1),
+            (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{mel257_cfg}"], 1),
+            (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc513_cfg}"], 1),
         ],
         ids=[
             "sweep-zero-components", "train-zero-components", "synth-zero-train",
@@ -124,7 +126,8 @@ class TestUsageErrors:
             "nasal-sub-sample-shift-config", "classify-sub-sample-shift-bundle",
             "nasal-lpc-order-above-frame-config", "nasal-lpc-order-equal-to-frame-config",
             "extract-huge-delta-window-config", "stats-nul-in-audio-path",
-            "train-nul-in-audio-path",
+            "train-nul-in-audio-path", "extract-mel-filters-above-cap-config",
+            "nasal-lpc-order-above-cap-config",
         ],
     )
     def test_rejected_invocations_exit_cleanly(
@@ -142,6 +145,9 @@ class TestUsageErrors:
             "lpc400": "nasal.lpc_order = 400\n",
             "lpc320": "nasal.lpc_order = 320\n",
             "huge_delta": "mfcc.delta_window = 100000000\n",
+            # Above MAX_MEL_FILTERS and MAX_LPC_ORDER, though each fits its FFT and frame.
+            "mel257": "mfcc.num_mel_filters = 257\n",
+            "lpc513": "nasal.lpc_order = 513\nnasal.frame_length_ms = 40\n",
         }
         for name, text in configs.items():
             path = tmp_path / f"{name}.cfg"
@@ -1020,18 +1026,24 @@ class TestFastExit:
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
+# (signal, exit status, stderr) of each way to stop a `dialectid` process.
+STOPS = [(signal.SIGINT, 130, "error: interrupted\n"), (signal.SIGTERM, 143, "error: terminated\n")]
+
+
+@pytest.mark.parametrize("stop", STOPS, ids=["SIGINT", "SIGTERM"])
 class TestInterrupt:
-    def interrupted(self, argv, config_text, tmp_path):
-        """(status, stderr, seconds to exit) of `dialectid argv` sent SIGINT 3 s in."""
+    def stopped(self, stop, argv, config_text, tmp_path, wait=lambda: time.sleep(3)):
+        """(status, stderr, seconds to exit) of `dialectid argv` sent stop's
+        signal once wait() returns, 3 s in by default."""
         config = tmp_path / "long.cfg"
         config.write_text(config_text)
         proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv, "--config", str(config)],
                                 stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
                                 text=True)
         try:
-            time.sleep(3)
+            wait()
             assert proc.poll() is None
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(stop[0])
             sent = time.monotonic()
             _, err = proc.communicate(timeout=60)
             waited = time.monotonic() - sent
@@ -1039,22 +1051,22 @@ class TestInterrupt:
             proc.kill()
         return proc.returncode, err, waited
 
-    def test_sigint_ends_a_sweep_with_one_error_line(self, tiny_corpus, tmp_path):
-        # 300 rows of about 0.1 s each: the interrupt ends the sweep in the
+    def test_signal_ends_a_sweep_with_one_error_line(self, tiny_corpus, tmp_path, stop):
+        # 300 rows of about 0.1 s each: the signal ends the sweep in the
         # row it lands in, without waiting for that row's CT fit or for the
         # ~30 s of rows left.
         out = tmp_path / "sweep.txt"
         argv = ["sweep", "--manifest", tiny_corpus.manifest_path, "--components",
                 ",".join(["16"] * 300), "--output", str(out)]
         config = "train.max_em_iterations = 200\ntrain.convergence_tol = 1e-300\n"
-        status, err, waited = self.interrupted(argv, config, tmp_path)
-        assert (status, err) == (130, "error: interrupted\n")
+        status, err, waited = self.stopped(stop, argv, config, tmp_path)
+        assert (status, err) == stop[1:]
         assert waited < 5
         assert not out.exists() and not list(tmp_path.glob(".*.tmp"))
 
-    def test_sigint_ends_train_during_its_fits(self, tmp_path):
+    def test_signal_ends_train_during_its_fits(self, tmp_path, stop):
         # On this corpus the M=128 fits take 3109 (LT) and 1634 (CT) EM
-        # iterations, tens of seconds each: the interrupt lands in the LT fit
+        # iterations, tens of seconds each: the signal lands in the LT fit
         # and must not wait for the CT one.
         corpus = generate_synthetic_corpus(str(tmp_path / "corpus"), seed=5, train_per_class=30,
                                            test_per_class=1, utterance_seconds=4.0)
@@ -1062,10 +1074,31 @@ class TestInterrupt:
         argv = ["train", "--manifest", corpus.manifest_path, "--components", "128",
                 "--out", str(out)]
         config = "train.max_em_iterations = 100000\ntrain.convergence_tol = 1e-300\n"
-        status, err, waited = self.interrupted(argv, config, tmp_path)
-        assert (status, err) == (130, "error: interrupted\n")
+        status, err, waited = self.stopped(stop, argv, config, tmp_path)
+        assert (status, err) == stop[1:]
         assert waited < 5
         assert not out.exists() and not list(tmp_path.glob("**/.*.tmp"))
+
+    def test_signal_during_a_dump_removes_its_temp_file(self, tmp_path, stop):
+        # A 120 s segment's dump takes seconds; the signal lands once its
+        # temp file exists, and the unwinding must remove it.
+        audio = tmp_path / "long.wav"
+        samples = reference.voiced_vowel(np.random.default_rng(2), 120 * SR)
+        write_wav(str(audio), AudioSignal(samples, SR))
+        dump = tmp_path / "spectra.txt"
+
+        def wait():
+            deadline = time.monotonic() + 30
+            while not list(tmp_path.glob(".spectra.txt.*.tmp")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+
+        argv = ["nasal", "--audio", str(audio), "--dump-spectra", str(dump),
+                "--output", str(tmp_path / "nasal.txt")]
+        status, err, waited = self.stopped(stop, argv, "", tmp_path, wait)
+        assert (status, err) == stop[1:]
+        assert waited < 5
+        assert not dump.exists() and not list(tmp_path.glob(".*.tmp"))
 
 
 class TestAtomicWrites:

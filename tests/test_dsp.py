@@ -20,6 +20,7 @@ from dialectid.dsp import (
     ENERGY_FLOOR,
     MAX_DELTA_WINDOW,
     MAX_FFT_SIZE,
+    MAX_MEL_FILTERS,
     AudioSignal,
     MfccConfig,
     append_deltas,
@@ -465,6 +466,9 @@ class TestConfigValidation:
             {"fft_size": 2 * MAX_FFT_SIZE},
             {"fft_size": 2**22},
             {"fft_size": 2**62},
+            {"num_mel_filters": MAX_MEL_FILTERS + 1},
+            {"num_mel_filters": MAX_MEL_FILTERS + 1, "fft_size": 1024},
+            {"num_mel_filters": 32769, "num_cepstra": 32769, "fft_size": MAX_FFT_SIZE},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -473,6 +477,10 @@ class TestConfigValidation:
 
     def test_fft_size_cap_is_inclusive(self):
         assert MfccConfig(fft_size=MAX_FFT_SIZE).fft_size == MAX_FFT_SIZE
+
+    def test_mel_filter_cap_is_inclusive(self):
+        config = MfccConfig(num_mel_filters=MAX_MEL_FILTERS, num_cepstra=MAX_MEL_FILTERS)
+        assert config.num_cepstra == MAX_MEL_FILTERS
 
     def test_delta_window_cap_is_inclusive(self):
         assert MfccConfig(delta_window=MAX_DELTA_WINDOW).delta_window == MAX_DELTA_WINDOW

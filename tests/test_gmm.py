@@ -33,9 +33,11 @@ from dialectid.gmm import (
     kmeans_init,
     load_model,
     log_likelihood_segments,
+    log_likelihood_segments_x2,
     log_likelihood_sequence,
     run_pair,
     save_model,
+    squares_and_frames,
 )
 
 
@@ -380,7 +382,7 @@ class TestBatchedKernelsAgainstReferences:
         )
 
         proj, const = gmm._kernel(init.weights, init.means, init.variances)
-        x2 = gmm._squares_and_frames(data)
+        x2 = gmm.squares_and_frames(data)
         got_ll = np.empty(t)
         got_occupancy, got_stats = gmm._accumulate(x2, proj, const, got_ll)
         assert rel_err(got_ll, frame_ll) <= 1e-9
@@ -408,7 +410,7 @@ class TestBatchedKernelsAgainstReferences:
         rng = np.random.default_rng(m + 3 * t)
         model = random_model(rng, m, 39)
         proj, const = gmm._kernel(model.weights, model.means, model.variances)
-        x2 = gmm._squares_and_frames(rng.uniform(-3.0, 3.0, (t, 39)))
+        x2 = gmm.squares_and_frames(rng.uniform(-3.0, 3.0, (t, 39)))
         got_ll = np.empty(t)
         with gmm.one_blas_thread():
             got = gmm._accumulate(x2, proj, const, got_ll)
@@ -436,6 +438,10 @@ class TestBatchedKernelsAgainstReferences:
         assert log_likelihood_segments(model, frames, [0]) == [
             log_likelihood_sequence(model, frames)
         ]
+        # Scoring the frames' [x^2, x] buffer takes the same blocks.
+        x2 = squares_and_frames(*np.split(frames, starts[1:]))
+        assert np.array_equal(x2, gmm.squares_and_frames(frames))
+        assert log_likelihood_segments_x2(model, x2, starts) == got
 
     def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
         rng = np.random.default_rng(41)
@@ -466,7 +472,7 @@ class TestExpFlush:
         variances = rng.uniform(0.3, 1.0, (m, dim))
         frames = means[rng.integers(0, m, 3000)] + rng.standard_normal((3000, dim))
         proj, const = gmm._kernel(weights, means, variances)
-        x2 = gmm._squares_and_frames(frames)
+        x2 = gmm.squares_and_frames(frames)
         log_joint = x2 @ proj.T + const
         log_joint -= log_joint.max(axis=1)[:, None]
         return x2, proj, const, log_joint
@@ -490,7 +496,7 @@ class TestExpFlush:
         rng = np.random.default_rng(52)
         model = random_model(rng, 16, 5)
         proj, const = gmm._kernel(model.weights, model.means, model.variances)
-        x2 = gmm._squares_and_frames(rng.standard_normal((500, 5)))
+        x2 = gmm.squares_and_frames(rng.standard_normal((500, 5)))
         got = gmm._block_posteriors(x2, proj, const)
         want = reference.block_posteriors_plain_exp(x2, proj, const)
         assert want[1].min() > math.exp(EXP_CUT)
@@ -517,7 +523,7 @@ class TestExpFlush:
         model.weights[3] = 0.0
         model.weights /= model.weights.sum()
         proj, const = gmm._kernel(model.weights, model.means, model.variances)
-        x2 = gmm._squares_and_frames(rng.standard_normal((500, 5)))
+        x2 = gmm.squares_and_frames(rng.standard_normal((500, 5)))
         log_joint = x2 @ proj.T + const
         log_joint -= log_joint.max(axis=1)[:, None]
         assert np.isneginf(log_joint[:, 3]).all()
@@ -578,6 +584,29 @@ class TestSharedTrainingFrames:
                 assert_same_fit(em_fit(frames, config), em_fit(data, config))
         assert len(frames._order) == 24 and frames.shape == data.shape
 
+    @pytest.mark.parametrize("m", [1, 4, 16, 64, 256, "dead"])
+    def test_fit_around_a_buffer_equals_the_fit_on_the_matrix(self, m):
+        # The frames as the x half of their [x^2, x] buffer, a strided view,
+        # fit to the bytes of the contiguous matrix, over more than a block.
+        # "dead": three distinct frames for five components, so k-means
+        # leaves clusters empty and EM re-seeds their zero-weight components.
+        rng = np.random.default_rng(66)
+        if m == "dead":
+            m, data = 5, np.repeat(rng.standard_normal((3, 39)), 40, axis=0)[rng.permutation(120)]
+            seeded = kmeans_init(TrainingFrames(data, 4), TrainConfig(m, rng_seed=4))
+            assert (seeded.weights == 0).any()
+        else:
+            data = blob_frames(rng, BLOCK_FRAMES + 300, 40, spread=3.0)
+        config = TrainConfig(m, max_em_iterations=4, kmeans_max_iterations=4,
+                             convergence_tol=1e-12, rng_seed=4)
+        frames = TrainingFrames.around(squares_and_frames(data[:50], data[50:]), seed=4)
+        assert np.shares_memory(frames.data, frames.x2) and not frames.data.flags.c_contiguous
+        assert np.array_equal(frames.data, data) and frames.shape == data.shape
+        with gmm.one_blas_thread():
+            got, want = em_fit(frames, config), em_fit(data, config)
+        assert_same_fit(got, want)
+        assert (got[0].weights > 0).all()
+
     def test_frames_seeded_otherwise_than_the_config_rejected(self):
         data = blob_frames(np.random.default_rng(65), 100, 3, spread=3.0)
         with pytest.raises(ValueError, match="seeded with 7, config.rng_seed is 4"):
@@ -603,7 +632,7 @@ class TestModelLayout:
         )
         assert fortran.means.flags.c_contiguous and fortran.variances.flags.c_contiguous
         frames = rng.uniform(-3.0, 3.0, (BLOCK_FRAMES + 7, 39))
-        x2 = gmm._squares_and_frames(frames)
+        x2 = gmm.squares_and_frames(frames)
         results = []
         for m in (model, fortran):
             kernel = gmm._kernel(m.weights, m.means, m.variances)

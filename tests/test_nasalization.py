@@ -22,6 +22,7 @@ from dialectid.errors import (
 from dialectid.labels import DialectLabel
 from dialectid.nasalization import (
     COMPARABLE_MARGIN_DB,
+    MAX_LPC_ORDER,
     LP_DEGENERATE,
     LP_OK,
     LP_UNSTABLE,
@@ -288,9 +289,17 @@ class TestAnalyzeSegment:
             dict(band_low_hz=500.0, band_high_hz=300.0),
             dict(prominence_db=-1.0),
             dict(prominence_span_hz=0.0),
+            dict(lpc_order=MAX_LPC_ORDER + 1, frame_length_ms=40.0),
+            dict(lpc_order=65000, fft_size=65536, frame_length_ms=4100.0, frame_shift_ms=1000.0),
         ):
             with pytest.raises(ValueError):
                 NasalConfig(**bad)
+
+    def test_lpc_order_cap_is_inclusive_and_runs(self):
+        # 40 ms frames are 640 samples, so the frame rule allows the cap.
+        config = NasalConfig(lpc_order=MAX_LPC_ORDER, frame_length_ms=40.0)
+        report = analyze_segment(vowel(seed=8, num_samples=SR // 2), config)
+        assert report.num_frames > 0 and report.num_analyzed > 0
 
 
 class TestSpectrumDump:
