@@ -26,7 +26,7 @@ from .gmm import (
     TrainingFrames,
     em_fit,
     load_model,
-    log_likelihood_segments_x2,
+    log_likelihood_segments,
     log_likelihood_sequence,
     run_pair,
     save_model,
@@ -137,26 +137,30 @@ def _record_features(rec: UtteranceRecord, feature_config: MfccConfig) -> np.nda
     return extract_features(signal, feature_config)
 
 
-def _pooled_training_frames(
-    manifest: CorpusManifest, dialect: DialectLabel, feature_config: MfccConfig, pool=np.vstack
-):
-    """pool(list of the features of each of the dialect's training utterances)."""
-    records = manifest.subset(dialect, Split.TRAIN)
-    if not records:
-        raise MissingDialectError(f"no {dialect.value} training utterances in manifest")
-    return pool([_record_features(rec, feature_config) for rec in records])
+def _training_sides(manifest: CorpusManifest, feature_config: MfccConfig, seed: int) -> tuple:
+    """(LT, CT) TrainingFrames of each dialect's pooled training frames.
 
+    run_pair extracts the two dialects' features concurrently, so a
+    dialect's error comes out as it would in turn. Each side is then held
+    once, as its [x^2, x] buffer built on the calling thread, and each
+    dialect's features are dropped as soon as its buffer exists.
+    """
 
-def _pooled_pair(manifest: CorpusManifest, feature_config: MfccConfig, pool=np.vstack) -> tuple:
-    """Pooled (LT, CT) training frames, extracted concurrently by run_pair,
-    each pooled on its own thread."""
-    return run_pair(
-        lambda: _pooled_training_frames(manifest, DialectLabel.LT, feature_config, pool),
-        lambda: _pooled_training_frames(manifest, DialectLabel.CT, feature_config, pool),
+    def extract(dialect: DialectLabel) -> list[np.ndarray]:
+        records = manifest.subset(dialect, Split.TRAIN)
+        if not records:
+            raise MissingDialectError(f"no {dialect.value} training utterances in manifest")
+        return [_record_features(rec, feature_config) for rec in records]
+
+    lt_parts, ct_parts = run_pair(
+        lambda: extract(DialectLabel.LT), lambda: extract(DialectLabel.CT)
     )
+    lt_side = TrainingFrames.around(squares_and_frames(*lt_parts), seed)
+    del lt_parts
+    return lt_side, TrainingFrames.around(squares_and_frames(*ct_parts), seed)
 
 
-def _training_record(frames: np.ndarray, trace: list[float]) -> dict:
+def _training_record(frames: TrainingFrames, trace: list[float]) -> dict:
     """The deterministic facts of one dialect's fit that bundle.json keeps."""
     return {
         "frames": frames.shape[0],
@@ -173,15 +177,16 @@ def train_bundle(
     """Fit one GMM per dialect on that dialect's pooled training frames.
 
     The two dialects' frames are extracted, then fitted, concurrently
-    (run_pair, which also holds OpenBLAS at one thread).
+    (run_pair, which also holds OpenBLAS at one thread); each is held once,
+    as its [x^2, x] buffer (_training_sides).
     """
-    lt_frames, ct_frames = _pooled_pair(train_manifest, feature_config)
+    lt_side, ct_side = _training_sides(train_manifest, feature_config, train_config.rng_seed)
     (lt_model, lt_trace), (ct_model, ct_trace) = run_pair(
-        lambda: em_fit(lt_frames, train_config), lambda: em_fit(ct_frames, train_config)
+        lambda: em_fit(lt_side, train_config), lambda: em_fit(ct_side, train_config)
     )
     training = {
-        DialectLabel.LT.value: _training_record(lt_frames, lt_trace),
-        DialectLabel.CT.value: _training_record(ct_frames, ct_trace),
+        DialectLabel.LT.value: _training_record(lt_side, lt_trace),
+        DialectLabel.CT.value: _training_record(ct_side, ct_trace),
     }
     return ClassifierBundle(lt_model, ct_model, feature_config, train_config, training)
 
@@ -254,7 +259,7 @@ def _fit_and_score(
     try:
         model, _ = em_fit(prepared, config)
         fitted = time.perf_counter()
-        scores = log_likelihood_segments_x2(model, test_x2, starts)
+        scores = log_likelihood_segments(model, test_x2, starts)
     except Exception as exc:
         return exc, time.perf_counter() - start, 0.0
     return scores, fitted - start, time.perf_counter() - fitted
@@ -286,7 +291,7 @@ def sweep_mixtures(
     if any(c < 1 for c in counts):
         raise ValueError("component counts must be positive")
 
-    lt_parts, ct_parts = _pooled_pair(train_manifest, feature_config, pool=list)
+    lt_side, ct_side = _training_sides(train_manifest, feature_config, base_train_config.rng_seed)
     # Contiguous halves: run_pair raises the first half's error first, so
     # the first bad record in manifest order is the one reported.
     records = _test_records(test_manifest)
@@ -299,11 +304,6 @@ def sweep_mixtures(
     starts = np.cumsum([0, *lengths[:-1]]).tolist()
     test_x2 = squares_and_frames(*first, *second)
     del first, second
-    seed = base_train_config.rng_seed
-    lt_side = TrainingFrames.around(squares_and_frames(*lt_parts), seed)
-    del lt_parts
-    ct_side = TrainingFrames.around(squares_and_frames(*ct_parts), seed)
-    del ct_parts
 
     rows = []
     for count in counts:

@@ -416,8 +416,11 @@ _count = _number(int, 1)
 
 
 def _utterance_seconds(text: str) -> float:
-    """argparse type for synth --seconds: at least one sample at the canonical rate."""
+    """argparse type for synth --seconds: one sample to synth.MAX_UTTERANCE_SECONDS."""
+    from .synth import MAX_UTTERANCE_SECONDS
     value = _number(float, 0.0)(text)
+    if value > MAX_UTTERANCE_SECONDS:
+        raise argparse.ArgumentTypeError(f"{text!r} is above {MAX_UTTERANCE_SECONDS:g} seconds")
     if round(value * CANONICAL_SAMPLE_RATE) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} gives no sample at {CANONICAL_SAMPLE_RATE} Hz")
     return value

@@ -184,48 +184,41 @@ def _block_posteriors(
     return peak + np.log(row_sum), post, row_sum
 
 
-def _segment_sums(model: GmmModel, blocks, starts) -> list[float]:
-    """Total log-likelihood of each segment, from the frames' [x^2, x]
-    blocks in order, segment i running from frame starts[i] to starts[i + 1]
-    and the last one to the end. Exact (fsum) accumulation over frames makes
-    each value independent of how the frames are blocked."""
+def _segment_sums(model: GmmModel, rows: np.ndarray, starts, to_x2=None) -> list[float]:
+    """Total log-likelihood of each segment, segment i running from row
+    starts[i] to starts[i + 1] and the last one to the end. rows is the
+    frames' [x^2, x] buffer, or with to_x2 a matrix whose BLOCK_FRAMES-row
+    slices to_x2 makes into the buffer's. Exact (fsum) accumulation over
+    frames makes each value independent of how the frames are blocked."""
     proj, const = _kernel(model.weights, model.means, model.variances)
     ll: list[float] = []
-    for x2 in blocks:
-        ll += _block_posteriors(x2, proj, const)[0].tolist()
+    for lo in range(0, len(rows), BLOCK_FRAMES):
+        block = rows[lo : lo + BLOCK_FRAMES]
+        ll += _block_posteriors(to_x2(block) if to_x2 else block, proj, const)[0].tolist()
     return [math.fsum(ll[lo:hi]) for lo, hi in zip(starts, [*starts[1:], None])]
 
 
-def log_likelihood_segments(model: GmmModel, frames: np.ndarray, starts) -> list[float]:
-    """Total log-likelihood of each segment of a stacked frame matrix,
-    segment i being frames[starts[i]:starts[i + 1]], the last one running to
-    the end. One blocked pass scores every frame, so short segments do not
-    each pay for a call; each block's [x^2, x] is made as it is scored.
-    """
-    f = np.asarray(frames, dtype=np.float64)
+def log_likelihood_segments(model: GmmModel, x2: np.ndarray, starts) -> list[float]:
+    """Total log-likelihood of each segment of the frames whose [x^2, x]
+    buffer x2 is (see squares_and_frames), segment i running from frame
+    starts[i] to starts[i + 1] and the last one to the end. One blocked
+    pass scores every frame, so short segments do not each pay for a call."""
+    return _segment_sums(model, x2, starts)
+
+
+def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
+    """Total log-likelihood of a feature matrix: sum over frame densities.
+    Each block's [x^2, x] is made as it is scored, so a long utterance costs
+    one block of extra memory; the blocks are the buffer's slices, so the
+    value is log_likelihood_segments'."""
+    f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
     if f.shape[0] < 1:
         raise ValueError("empty feature matrix")
     if f.shape[1] != model.dim:
         raise ValueError(f"frame dim {f.shape[1]} != model dim {model.dim}")
-    blocks = (squares_and_frames(f[lo : lo + BLOCK_FRAMES])
-              for lo in range(0, len(f), BLOCK_FRAMES))
-    return _segment_sums(model, blocks, starts)
-
-
-def log_likelihood_segments_x2(model: GmmModel, x2: np.ndarray, starts) -> list[float]:
-    """log_likelihood_segments of the frames whose [x^2, x] buffer x2 is
-    (see squares_and_frames), scoring its BLOCK_FRAMES-row slices as they
-    are: the same blocks, so the same values."""
-    blocks = (x2[lo : lo + BLOCK_FRAMES] for lo in range(0, len(x2), BLOCK_FRAMES))
-    return _segment_sums(model, blocks, starts)
-
-
-def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
-    """Total log-likelihood of a feature matrix: sum over frame densities,
-    the one-segment case of log_likelihood_segments."""
-    return log_likelihood_segments(model, features, [0])[0]
+    return _segment_sums(model, f, [0], squares_and_frames)[0]
 
 
 def _accumulate(
@@ -283,10 +276,9 @@ def _assign(
     return assignment, np.maximum(min_d2, 0.0, out=min_d2)
 
 
-def _cluster_means(
-    columns: np.ndarray, assignment: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Per-cluster mean of frames stored column-wise (D, T), shape (k, D).
+def _cluster_means(columns, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cluster mean of frames given column by column (D of length T),
+    shape (k, D).
 
     Each dimension is summed per cluster by one weighted np.bincount, which
     adds frames in frame order; empty clusters get zero means.
@@ -349,21 +341,23 @@ class TrainingFrames:
         return floor, np.maximum(self.variance, floor)
 
     def seeds(self, k: int) -> np.ndarray:
-        """Frame indices of the first k seeds, shape (k,)."""
-        data = self.data
-        if data.shape[0] < k:
-            raise FewerFramesThanComponents(
-                f"{data.shape[0]} frames < {k} mixture components"
-            )
-        if not self._order:
-            self._order.append(int(np.random.default_rng(self.seed).integers(data.shape[0])))
-            self._min_d2 = _sq_dist_to(data, self.sq_norms, data[self._order[0]])
-        while len(self._order) < k:
-            pick = int(np.argmax(self._min_d2))
-            self._order.append(pick)
-            np.minimum(
-                self._min_d2, _sq_dist_to(data, self.sq_norms, data[pick]), out=self._min_d2
-            )
+        """Frame indices of the first k seeds, shape (k,). Each pick is a
+        mat-vec over every frame, which is ~24% slower on a strided view (as
+        around gives), so new picks run on a contiguous copy made for them."""
+        t = self.shape[0]
+        if t < k:
+            raise FewerFramesThanComponents(f"{t} frames < {k} mixture components")
+        if len(self._order) < k:
+            data = np.ascontiguousarray(self.data)
+            if not self._order:
+                self._order.append(int(np.random.default_rng(self.seed).integers(t)))
+                self._min_d2 = _sq_dist_to(data, self.sq_norms, data[self._order[0]])
+            while len(self._order) < k:
+                pick = int(np.argmax(self._min_d2))
+                self._order.append(pick)
+                np.minimum(
+                    self._min_d2, _sq_dist_to(data, self.sq_norms, data[pick]), out=self._min_d2
+                )
         return np.array(self._order[:k], dtype=np.intp)
 
 
@@ -404,10 +398,8 @@ def kmeans_init(frames: TrainingFrames, config: TrainConfig) -> GmmModel:
     nonempty = counts > 0
     means = _cluster_means(columns, assignment, counts)
     centers[nonempty] = means[nonempty]
-    # In place: one T x D buffer, not two, beside a shared [x^2, x].
-    deviations = means.T[:, assignment]
-    np.subtract(columns, deviations, out=deviations)
-    deviations *= deviations
+    # One dimension at a time, so no T x D matrix of deviations is held.
+    deviations = ((c - mean[assignment]) ** 2 for c, mean in zip(columns, means.T))
     cluster_var = np.maximum(_cluster_means(deviations, assignment, counts), floor)
     variances = np.where(nonempty[:, None], cluster_var, global_var)
     return GmmModel(counts / t, centers, variances)

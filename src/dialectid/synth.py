@@ -46,6 +46,7 @@ SEGMENT_SECONDS = 0.15
 WARMUP = 512  # drive samples run through the resonator and dropped per segment
 BATCH_SEGMENTS = 1024  # segment rows filtered side by side: ~24 MB at 16 kHz
 STEP_BLOCK = 32  # time steps of a batch held time-major at once
+MAX_UTTERANCE_SECONDS = 600.0  # fills a batch alone: ~155 KB per second, ~93 MB
 
 
 @dataclass
@@ -207,6 +208,8 @@ def generate_synthetic_corpus(
     """
     if train_per_class < 1 or test_per_class < 1:
         raise ValueError("need at least one utterance per class and split")
+    if not utterance_seconds <= MAX_UTTERANCE_SECONDS:
+        raise ValueError(f"utterance_seconds must be at most {MAX_UTTERANCE_SECONDS:g}")
     rate = CANONICAL_SAMPLE_RATE
     num_samples = int(round(utterance_seconds * rate))
     if num_samples < 1:

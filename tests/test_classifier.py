@@ -95,6 +95,33 @@ class TestTraining:
             assert np.allclose(model.variances[0], frames.var(axis=0), atol=1e-10)
             assert model.weights[0] == 1.0
 
+    def test_each_side_is_held_once_as_its_buffer(self, tiny_corpus, monkeypatch):
+        # Each dialect's frames are the x half of its [x^2, x] buffer, and
+        # the fit on that view is the fit on the frames as a matrix.
+        fitted = []  # (model, frames); the two fits may end in either order
+
+        def fit(frames, config):
+            model, trace = em_fit(frames, config)
+            fitted.append((model, frames))
+            return model, trace
+
+        monkeypatch.setattr(classifier, "em_fit", fit)
+        config = TrainConfig(num_components=4, max_em_iterations=3, rng_seed=2)
+        bundle = train_bundle(tiny_corpus.manifest, MfccConfig(), config)
+        assert len(fitted) == 2
+        for model, dialect in zip((bundle.lt_model, bundle.ct_model), DialectLabel):
+            (side,) = [frames for fit_model, frames in fitted if fit_model is model]
+            assert isinstance(side, gmm.TrainingFrames)
+            assert np.shares_memory(side.data, side.x2)
+            assert bundle.training[dialect.value]["frames"] == side.shape[0]
+            with gmm.one_blas_thread():
+                want, _ = em_fit(np.ascontiguousarray(side.data), config)
+            for got_array, want_array in zip(
+                (model.weights, model.means, model.variances),
+                (want.weights, want.means, want.variances),
+            ):
+                assert np.array_equal(got_array, want_array)
+
     def test_dialect_models_differ(self, bundle_m1):
         gap = np.linalg.norm(bundle_m1.lt_model.means - bundle_m1.ct_model.means)
         assert gap > 0.0
@@ -739,9 +766,7 @@ class TestStagesOnTwoThreads:
         # the row records LT's. CT fails unexpectedly at M=4 and LT at M=8:
         # the earlier row's error is the one raised. No dialect fits a row
         # after the row that raised.
-        lt_frames = classifier._pooled_training_frames(
-            tiny_corpus.manifest, DialectLabel.LT, MfccConfig()
-        )
+        lt_frames = classifier._training_sides(tiny_corpus.manifest, MfccConfig(), 0)[0].data
         real = classifier.em_fit
         fitted = []
 

@@ -113,6 +113,11 @@ class TestUsageErrors:
             (["train", "--manifest", "{nul_manifest}", "--components", "1", "--out", "{out}"], 1),
             (["extract", "--audio", "{wav}", "--out", "{out}", "--config", "{mel257_cfg}"], 1),
             (["nasal", "--audio", "{wav}", "--output", "{out}", "--config", "{lpc513_cfg}"], 1),
+            # Above synth.MAX_UTTERANCE_SECONDS: the first float past 600, and
+            # two whose sample counts used to end in an OverflowError traceback.
+            (["synth", "--out", "{out}", "--seconds", "600.0000000000001"], 2),
+            (["synth", "--out", "{out}", "--seconds", "1e300"], 2),
+            (["synth", "--out", "{out}", "--seconds", "1e308"], 2),
         ],
         ids=[
             "sweep-zero-components", "train-zero-components", "synth-zero-train",
@@ -127,7 +132,8 @@ class TestUsageErrors:
             "nasal-lpc-order-above-frame-config", "nasal-lpc-order-equal-to-frame-config",
             "extract-huge-delta-window-config", "stats-nul-in-audio-path",
             "train-nul-in-audio-path", "extract-mel-filters-above-cap-config",
-            "nasal-lpc-order-above-cap-config",
+            "nasal-lpc-order-above-cap-config", "synth-seconds-just-above-cap",
+            "synth-seconds-1e300", "synth-seconds-1e308",
         ],
     )
     def test_rejected_invocations_exit_cleanly(

@@ -33,7 +33,6 @@ from dialectid.gmm import (
     kmeans_init,
     load_model,
     log_likelihood_segments,
-    log_likelihood_segments_x2,
     log_likelihood_sequence,
     run_pair,
     save_model,
@@ -428,20 +427,21 @@ class TestBatchedKernelsAgainstReferences:
         lengths = [1, 300, BLOCK_FRAMES - 250, 700, 2]
         frames = rng.uniform(-3.0, 3.0, (sum(lengths), 39))
         starts = np.cumsum([0, *lengths[:-1]]).tolist()
-        got = log_likelihood_segments(model, frames, starts)
+        x2 = squares_and_frames(*np.split(frames, starts[1:]))
+        got = log_likelihood_segments(model, x2, starts)
         want = [
             log_likelihood_sequence(model, frames[lo : lo + n])
             for lo, n in zip(starts, lengths)
         ]
         assert len(got) == len(lengths)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-        assert log_likelihood_segments(model, frames, [0]) == [
+        # The buffer's slices are the blocks that log_likelihood_sequence
+        # squares as it goes, so one segment gives its value exactly.
+        assert log_likelihood_segments(model, x2, [0]) == [
             log_likelihood_sequence(model, frames)
         ]
-        # Scoring the frames' [x^2, x] buffer takes the same blocks.
-        x2 = squares_and_frames(*np.split(frames, starts[1:]))
         assert np.array_equal(x2, gmm.squares_and_frames(frames))
-        assert log_likelihood_segments_x2(model, x2, starts) == got
+        assert log_likelihood_segments(model, gmm.squares_and_frames(frames), starts) == got
 
     def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
         rng = np.random.default_rng(41)
@@ -569,11 +569,15 @@ class TestSharedTrainingFrames:
             assert np.array_equal(gmm.TrainingFrames(data, seed=4).seeds(k), order[:k])
 
     def test_grown_seeds_equal_seeds_picked_at_once(self):
+        # Also on the frames as the strided x half of their [x^2, x] buffer,
+        # which seeds copies to a contiguous matrix for each growth.
         data = blob_frames(np.random.default_rng(64), 300, 5, spread=3.0)
-        grown = gmm.TrainingFrames(data, seed=1)
-        for k in (3, 3, 1, 20, 7, 40):
-            assert np.array_equal(grown.seeds(k), gmm.TrainingFrames(data, seed=1).seeds(k))
-        assert len(grown._order) == 40
+        view = gmm.TrainingFrames.around(gmm.squares_and_frames(data), seed=1)
+        assert not view.data.flags.c_contiguous
+        for grown in (gmm.TrainingFrames(data, seed=1), view):
+            for k in (3, 3, 1, 20, 7, 40):
+                assert np.array_equal(grown.seeds(k), gmm.TrainingFrames(data, seed=1).seeds(k))
+            assert len(grown._order) == 40
 
     def test_fits_sharing_training_frames_equal_their_own(self):
         data = blob_frames(np.random.default_rng(61), 400, 6, spread=3.0)
@@ -671,6 +675,21 @@ class TestEmFitMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3.2 * data.nbytes
+
+    def test_kmeans_around_a_buffer_holds_no_matrix_of_deviations(self):
+        # Beside a prebuilt [x^2, x] buffer, k-means holds the frames
+        # column-wise and takes the cluster variances one dimension at a
+        # time; a T x D matrix of deviations would put the peak at 2x.
+        data = np.random.default_rng(44).standard_normal((20000, 39))
+        frames = TrainingFrames.around(squares_and_frames(data), seed=0)
+        config = TrainConfig(num_components=16, kmeans_max_iterations=2)
+        tracemalloc.start()
+        try:
+            kmeans_init(frames, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * data.nbytes
 
 
 class TestTrainConfigValidation:

@@ -157,6 +157,14 @@ class TestCorpusBytes:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
+    @pytest.mark.parametrize(
+        "seconds", [np.nextafter(synth.MAX_UTTERANCE_SECONDS, np.inf), 1e300, np.inf, np.nan]
+    )
+    def test_seconds_above_the_bound_rejected_before_any_file(self, tmp_path, seconds):
+        with pytest.raises(ValueError, match="at most 600"):
+            generate_synthetic_corpus(str(tmp_path / "corpus"), utterance_seconds=float(seconds))
+        assert not (tmp_path / "corpus").exists()
+
 
 def test_synth_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(dialectid.__file__))
