@@ -137,7 +137,7 @@ def _record_features(rec: UtteranceRecord, feature_config: MfccConfig) -> np.nda
     return extract_features(signal, feature_config)
 
 
-def _training_sides(manifest: CorpusManifest, feature_config: MfccConfig, seed: int) -> tuple:
+def _training_sides(manifest: CorpusManifest, feature_config: MfccConfig) -> tuple:
     """(LT, CT) TrainingFrames of each dialect's pooled training frames.
 
     run_pair extracts the two dialects' features concurrently, so a
@@ -155,9 +155,9 @@ def _training_sides(manifest: CorpusManifest, feature_config: MfccConfig, seed: 
     lt_parts, ct_parts = run_pair(
         lambda: extract(DialectLabel.LT), lambda: extract(DialectLabel.CT)
     )
-    lt_side = TrainingFrames.around(squares_and_frames(*lt_parts), seed)
+    lt_side = TrainingFrames.around(squares_and_frames(*lt_parts))
     del lt_parts
-    return lt_side, TrainingFrames.around(squares_and_frames(*ct_parts), seed)
+    return lt_side, TrainingFrames.around(squares_and_frames(*ct_parts))
 
 
 def _training_record(frames: TrainingFrames, trace: list[float]) -> dict:
@@ -180,7 +180,7 @@ def train_bundle(
     (run_pair, which also holds OpenBLAS at one thread); each is held once,
     as its [x^2, x] buffer (_training_sides).
     """
-    lt_side, ct_side = _training_sides(train_manifest, feature_config, train_config.rng_seed)
+    lt_side, ct_side = _training_sides(train_manifest, feature_config)
     (lt_model, lt_trace), (ct_model, ct_trace) = run_pair(
         lambda: em_fit(lt_side, train_config), lambda: em_fit(ct_side, train_config)
     )
@@ -211,14 +211,11 @@ def classify_utterance(bundle: ClassifierBundle, signal: AudioSignal) -> Decisio
 
 def _score(decided) -> EvalReport:
     """Tally the confusion matrix of (record, Decision) pairs."""
-    decisions = []
-    for rec, d in decided:
-        decisions.append(
-            UtteranceDecision(
-                rec.audio_path, rec.speaker_id, rec.dialect,
-                d.label, d.lt_score, d.ct_score, d.tie,
-            )
-        )
+    decisions = [
+        UtteranceDecision(rec.audio_path, rec.speaker_id, rec.dialect,
+                          d.label, d.lt_score, d.ct_score, d.tie)
+        for rec, d in decided
+    ]
     cells = Counter((d.true_label, d.predicted) for d in decisions)
     lt, ct = DialectLabel.LT, DialectLabel.CT
     tp, fp, fn, tn = cells[lt, lt], cells[ct, lt], cells[lt, ct], cells[ct, ct]
@@ -291,7 +288,7 @@ def sweep_mixtures(
     if any(c < 1 for c in counts):
         raise ValueError("component counts must be positive")
 
-    lt_side, ct_side = _training_sides(train_manifest, feature_config, base_train_config.rng_seed)
+    lt_side, ct_side = _training_sides(train_manifest, feature_config)
     # Contiguous halves: run_pair raises the first half's error first, so
     # the first bad record in manifest order is the one reported.
     records = _test_records(test_manifest)

@@ -36,6 +36,10 @@ FEATURE_VERSION = 1
 # larger one buys no resolution that is used and can exhaust memory.
 MAX_FFT_SIZE = 2**16
 
+# Longest accepted frame_length_ms, MAX_FFT_SIZE samples at 16 kHz: a nasal frame's LP
+# analysis costs O(lpc_order x samples), and 1e308 ms overflowed the sample count.
+MAX_FRAME_LENGTH_MS = 1000.0 * MAX_FFT_SIZE / CANONICAL_SAMPLE_RATE
+
 # Largest accepted delta_window: the regression takes one pass per unit of it.
 MAX_DELTA_WINDOW = 100
 
@@ -80,6 +84,8 @@ class Framing:
             raise ValueError("fft_size must be a power of two")
         if self.fft_size > MAX_FFT_SIZE:
             raise ValueError(f"fft_size must be at most {MAX_FFT_SIZE}")
+        if self.frame_length_ms > MAX_FRAME_LENGTH_MS:
+            raise ValueError(f"frame_length_ms must be at most {MAX_FRAME_LENGTH_MS:g}")
 
     def frame_samples(self, sample_rate: int) -> int:
         return int(round(self.frame_length_ms * sample_rate / 1000.0))
@@ -162,9 +168,7 @@ def frame_signal(signal: AudioSignal, config: Framing) -> np.ndarray:
                           f"{signal.sample_rate} Hz")
     n = signal.samples.size
     if n < length:
-        raise SignalTooShort(
-            f"signal has {n} samples, need at least {length} for one frame"
-        )
+        raise SignalTooShort(f"signal has {n} samples, need at least {length} for one frame")
     frames = np.lib.stride_tricks.sliding_window_view(signal.samples, length)[::hop]
     return frames * np.hamming(length)
 

@@ -188,8 +188,9 @@ def _segment_sums(model: GmmModel, rows: np.ndarray, starts, to_x2=None) -> list
     """Total log-likelihood of each segment, segment i running from row
     starts[i] to starts[i + 1] and the last one to the end. rows is the
     frames' [x^2, x] buffer, or with to_x2 a matrix whose BLOCK_FRAMES-row
-    slices to_x2 makes into the buffer's. Exact (fsum) accumulation over
-    frames makes each value independent of how the frames are blocked."""
+    slices to_x2 makes into the buffer's. The sums are exact (fsum), but a
+    frame's value can move in its last bits with its place in a block, so a
+    segment's sum is repeated only where its frames keep their offsets."""
     proj, const = _kernel(model.weights, model.means, model.variances)
     ll: list[float] = []
     for lo in range(0, len(rows), BLOCK_FRAMES):
@@ -209,8 +210,8 @@ def log_likelihood_segments(model: GmmModel, x2: np.ndarray, starts) -> list[flo
 def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
     """Total log-likelihood of a feature matrix: sum over frame densities.
     Each block's [x^2, x] is made as it is scored, so a long utterance costs
-    one block of extra memory; the blocks are the buffer's slices, so the
-    value is log_likelihood_segments'."""
+    one block of extra memory; the blocks are the slices of the features'
+    own buffer, so the value is log_likelihood_segments' on that buffer."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -295,16 +296,17 @@ class TrainingFrames:
     its farthest-first k-means seeds, picked on demand.
 
     The terms are the variance per dimension, the squared frame norms and
-    [x^2, x]. The first seed is a seeded random frame; each next one is the
-    frame farthest from all seeds so far, ties going to the lowest index.
-    Each pick depends only on the picks before it, so the seeds for k are a
+    [x^2, x]. The first seed is a random frame drawn under the seed of the
+    first pick, which no later pick may change; each next one is the frame
+    farthest from all seeds so far, ties going to the lowest index. Each
+    pick depends only on the picks before it, so the seeds for k are a
     prefix of the seeds for any larger k. Fits of several sizes on the same
     frames and seed can therefore share one TrainingFrames: none computes
     the terms again, and each picks only the seeds that no fit before it
     did.
     """
 
-    def __init__(self, data: np.ndarray, seed: int):
+    def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] < 1:
             raise ValueError("training data must be a non-empty 2-D matrix")
@@ -312,20 +314,21 @@ class TrainingFrames:
             raise ValueError("training data contains non-finite values")
         self.data = data
         self.shape = data.shape  # (T, D), like the matrix em_fit also takes
-        self.seed = seed
         self.variance = data.var(axis=0)
-        self.sq_norms = (data * data).sum(axis=1)
+        self._seed = None
         self._order: list[int] = []
         self._min_d2 = None
 
     @classmethod
-    def around(cls, x2: np.ndarray, seed: int) -> TrainingFrames:
+    def around(cls, x2: np.ndarray) -> TrainingFrames:
         """TrainingFrames of the frames whose [x^2, x] buffer x2 is (see
-        squares_and_frames): data is its x half, a strided view, and x2 the
-        buffer itself, so the frames are held once. Fits on it are those on
+        squares_and_frames): data is its x half, a strided view, x2 the
+        buffer itself and sq_norms the row sums of its x^2 half, so the
+        frames are held once and not squared again. Fits on it are those on
         the frames as a matrix."""
-        frames = cls(x2[:, x2.shape[1] // 2 :], seed)
+        frames = cls(x2[:, x2.shape[1] // 2 :])
         frames.x2 = x2
+        frames.sq_norms = x2[:, : frames.shape[1]].sum(axis=1)
         return frames
 
     @functools.cached_property
@@ -335,22 +338,31 @@ class TrainingFrames:
         holds it and the k-means working set at once."""
         return squares_and_frames(self.data)
 
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Squared norm of each frame, made at first use unless around gave it."""
+        return (self.data * self.data).sum(axis=1)
+
     def variance_floor(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
         """(per-dimension variance floor, floored global variance)."""
         floor = np.maximum(factor * self.variance, _MIN_VARIANCE)
         return floor, np.maximum(self.variance, floor)
 
-    def seeds(self, k: int) -> np.ndarray:
-        """Frame indices of the first k seeds, shape (k,). Each pick is a
-        mat-vec over every frame, which is ~24% slower on a strided view (as
+    def seeds(self, k: int, seed: int) -> np.ndarray:
+        """Frame indices of the first k seeds, shape (k,), the first drawn
+        under seed; a seed other than the first pick's is refused. Each pick is
+        a mat-vec over every frame, which is ~24% slower on a strided view (as
         around gives), so new picks run on a contiguous copy made for them."""
+        if self._seed is not None and seed != self._seed:
+            raise ValueError(f"seeds picked under seed {self._seed}, asked for seed {seed}")
         t = self.shape[0]
         if t < k:
             raise FewerFramesThanComponents(f"{t} frames < {k} mixture components")
         if len(self._order) < k:
             data = np.ascontiguousarray(self.data)
             if not self._order:
-                self._order.append(int(np.random.default_rng(self.seed).integers(t)))
+                self._seed = seed
+                self._order.append(int(np.random.default_rng(seed).integers(t)))
                 self._min_d2 = _sq_dist_to(data, self.sq_norms, data[self._order[0]])
             while len(self._order) < k:
                 pick = int(np.argmax(self._min_d2))
@@ -369,11 +381,11 @@ def kmeans_init(frames: TrainingFrames, config: TrainConfig) -> GmmModel:
     config.kmeans_max_iterations is hit. Cluster occupancy fractions become
     the initial weights and per-cluster variances are floored. Ties in
     distance always resolve to the lowest index, so the result depends only
-    on the frames, their seed and the config (whose rng_seed is not read).
+    on the frames and the config, whose rng_seed picks the first seed.
     """
     k = config.num_components
     data, sq_norms = frames.data, frames.sq_norms
-    centers = data[frames.seeds(k)]
+    centers = data[frames.seeds(k, config.rng_seed)]
     columns = np.ascontiguousarray(data.T)
     t = data.shape[0]
     floor, global_var = frames.variance_floor(config.variance_floor_factor)
@@ -415,20 +427,16 @@ def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmM
     1/num_frames weight, keeping the component count fixed. The E-step runs
     over blocks of BLOCK_FRAMES frames, so its working memory does not grow
     with the frame count beyond the [x^2, x] matrix of TrainingFrames.
-    data is the frame matrix or its TrainingFrames, whose seed must be
-    config.rng_seed; the fit is the same either way.
+    data is the frame matrix or its TrainingFrames, the fit the same either
+    way; fits sharing a TrainingFrames must share config.rng_seed.
     """
-    frames = data if isinstance(data, TrainingFrames) else TrainingFrames(data, config.rng_seed)
-    if frames.seed != config.rng_seed:
-        raise ValueError(f"frames seeded with {frames.seed}, config.rng_seed is {config.rng_seed}")
+    frames = data if isinstance(data, TrainingFrames) else TrainingFrames(data)
     data = frames.data
     t, dim = data.shape
     floor, global_var = frames.variance_floor(config.variance_floor_factor)
 
     model = kmeans_init(frames, config)
-    weights = model.weights
-    means = model.means
-    variances = model.variances
+    weights, means, variances = model.weights, model.means, model.variances
 
     x2 = frames.x2
     frame_ll = np.empty(t)
@@ -458,9 +466,7 @@ def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmM
                 new_weights[j] = 1.0 / t
             new_weights = new_weights / new_weights.sum()
 
-        weights = new_weights
-        means = new_means
-        variances = np.maximum(new_vars, floor)
+        weights, means, variances = new_weights, new_means, np.maximum(new_vars, floor)
 
     return GmmModel(weights, means, variances), trace
 

@@ -172,15 +172,16 @@ def _lp_spectra_db(coefficients: np.ndarray, gains: np.ndarray, fft_size: int) -
 def _band_bins(width: int, fft_size: int, rate: int, config: NasalConfig) -> tuple[int, int, int]:
     """(first and last bin of the band, prominence span in bins) in spectra
     of width bins; ConfigError when the band holds no bin."""
-    lo = max(int(np.ceil(config.band_low_hz * fft_size / rate)), 0)
-    hi = min(int(np.floor(config.band_high_hz * fft_size / rate)), width - 1)
+    # Clipped before rounding, so an edge of any size past the spectrum is its end.
+    lo = max(int(np.ceil(min(config.band_low_hz * fft_size / rate, width))), 0)
+    hi = int(np.floor(min(config.band_high_hz * fft_size / rate, width - 1)))
     if lo > hi:
         raise ConfigError(
             f"nasal band {config.band_low_hz}-{config.band_high_hz} Hz with fft_size {fft_size} "
             f"at {rate} Hz: search band contains no FFT bins at this resolution"
         )
     # A span past the spectrum's width finds the same minima as the width.
-    span = max(1, min(round(config.prominence_span_hz * fft_size / rate), width))
+    span = max(1, round(min(config.prominence_span_hz * fft_size / rate, width)))
     return lo, hi, span
 
 
@@ -211,9 +212,7 @@ def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
     if max_lag < 0:
         raise ValueError("max_lag must be non-negative")
     if x.size <= max_lag:
-        raise ValueError(
-            f"frame of {x.size} samples is too short for lag {max_lag}"
-        )
+        raise ValueError(f"frame of {x.size} samples is too short for lag {max_lag}")
     return _autocorrelations(x[None, :], max_lag)[0]
 
 

@@ -278,8 +278,8 @@ class TestSweep:
         made = []
 
         class Recorded(gmm.TrainingFrames):
-            def __init__(self, data, seed):
-                super().__init__(data, seed)
+            def __init__(self, data):
+                super().__init__(data)
                 made.append(self)
 
         monkeypatch.setattr(classifier, "TrainingFrames", Recorded)
@@ -297,8 +297,8 @@ class TestSweep:
         made, held = [], []
 
         class Recorded(gmm.TrainingFrames):
-            def __init__(self, data, seed):
-                super().__init__(data, seed)
+            def __init__(self, data):
+                super().__init__(data)
                 made.append(self)
 
         def fit(frames, config):
@@ -766,7 +766,7 @@ class TestStagesOnTwoThreads:
         # the row records LT's. CT fails unexpectedly at M=4 and LT at M=8:
         # the earlier row's error is the one raised. No dialect fits a row
         # after the row that raised.
-        lt_frames = classifier._training_sides(tiny_corpus.manifest, MfccConfig(), 0)[0].data
+        lt_frames = classifier._training_sides(tiny_corpus.manifest, MfccConfig())[0].data
         real = classifier.em_fit
         fitted = []
 

@@ -469,6 +469,8 @@ class TestConfigValidation:
             {"num_mel_filters": MAX_MEL_FILTERS + 1},
             {"num_mel_filters": MAX_MEL_FILTERS + 1, "fft_size": 1024},
             {"num_mel_filters": 32769, "num_cepstra": 32769, "fft_size": MAX_FFT_SIZE},
+            {"frame_length_ms": 4096.5, "fft_size": MAX_FFT_SIZE},
+            {"frame_length_ms": 1e308, "fft_size": MAX_FFT_SIZE},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):

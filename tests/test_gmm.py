@@ -118,7 +118,7 @@ class TestSequenceLikelihood:
 
 def seeded_kmeans(data, k, seed, **config):
     """kmeans_init of data's TrainingFrames under seed, with k components."""
-    return kmeans_init(TrainingFrames(data, seed), TrainConfig(k, rng_seed=seed, **config))
+    return kmeans_init(TrainingFrames(data), TrainConfig(k, rng_seed=seed, **config))
 
 
 class TestKmeansInit:
@@ -563,25 +563,25 @@ class TestSharedTrainingFrames:
 
     def test_seeds_for_k_are_a_prefix_of_the_seeds_for_more(self):
         data = blob_frames(np.random.default_rng(60), 500, 6, spread=3.0)
-        order = gmm.TrainingFrames(data, seed=4).seeds(30)
+        order = gmm.TrainingFrames(data).seeds(30, 4)
         assert len(set(order.tolist())) == 30
         for k in (1, 2, 17, 29):
-            assert np.array_equal(gmm.TrainingFrames(data, seed=4).seeds(k), order[:k])
+            assert np.array_equal(gmm.TrainingFrames(data).seeds(k, 4), order[:k])
 
     def test_grown_seeds_equal_seeds_picked_at_once(self):
         # Also on the frames as the strided x half of their [x^2, x] buffer,
         # which seeds copies to a contiguous matrix for each growth.
         data = blob_frames(np.random.default_rng(64), 300, 5, spread=3.0)
-        view = gmm.TrainingFrames.around(gmm.squares_and_frames(data), seed=1)
+        view = gmm.TrainingFrames.around(gmm.squares_and_frames(data))
         assert not view.data.flags.c_contiguous
-        for grown in (gmm.TrainingFrames(data, seed=1), view):
+        for grown in (gmm.TrainingFrames(data), view):
             for k in (3, 3, 1, 20, 7, 40):
-                assert np.array_equal(grown.seeds(k), gmm.TrainingFrames(data, seed=1).seeds(k))
+                assert np.array_equal(grown.seeds(k, 1), gmm.TrainingFrames(data).seeds(k, 1))
             assert len(grown._order) == 40
 
     def test_fits_sharing_training_frames_equal_their_own(self):
         data = blob_frames(np.random.default_rng(61), 400, 6, spread=3.0)
-        frames = gmm.TrainingFrames(data, self.CONFIG.rng_seed)
+        frames = gmm.TrainingFrames(data)
         with gmm.one_blas_thread():
             for k in range(1, 25):
                 config = dataclasses.replace(self.CONFIG, num_components=k)
@@ -597,13 +597,13 @@ class TestSharedTrainingFrames:
         rng = np.random.default_rng(66)
         if m == "dead":
             m, data = 5, np.repeat(rng.standard_normal((3, 39)), 40, axis=0)[rng.permutation(120)]
-            seeded = kmeans_init(TrainingFrames(data, 4), TrainConfig(m, rng_seed=4))
+            seeded = kmeans_init(TrainingFrames(data), TrainConfig(m, rng_seed=4))
             assert (seeded.weights == 0).any()
         else:
             data = blob_frames(rng, BLOCK_FRAMES + 300, 40, spread=3.0)
         config = TrainConfig(m, max_em_iterations=4, kmeans_max_iterations=4,
                              convergence_tol=1e-12, rng_seed=4)
-        frames = TrainingFrames.around(squares_and_frames(data[:50], data[50:]), seed=4)
+        frames = TrainingFrames.around(squares_and_frames(data[:50], data[50:]))
         assert np.shares_memory(frames.data, frames.x2) and not frames.data.flags.c_contiguous
         assert np.array_equal(frames.data, data) and frames.shape == data.shape
         with gmm.one_blas_thread():
@@ -612,15 +612,39 @@ class TestSharedTrainingFrames:
         assert (got[0].weights > 0).all()
 
     def test_frames_seeded_otherwise_than_the_config_rejected(self):
+        # The pick cache keeps the seed of its first pick: a fit under
+        # another seed would get seeds it did not ask for.
         data = blob_frames(np.random.default_rng(65), 100, 3, spread=3.0)
-        with pytest.raises(ValueError, match="seeded with 7, config.rng_seed is 4"):
-            em_fit(gmm.TrainingFrames(data, seed=7), self.CONFIG)
+        frames = gmm.TrainingFrames(data)
+        frames.seeds(2, 7)
+        with pytest.raises(ValueError, match="picked under seed 7, asked for seed 4"):
+            em_fit(frames, self.CONFIG)
+        assert np.array_equal(frames.seeds(3, 7), gmm.TrainingFrames(data).seeds(3, 7))
+
+    def test_kmeans_init_seeds_from_the_config(self):
+        data = blob_frames(np.random.default_rng(67), 200, 4, spread=3.0)
+        firsts = []
+        for seed in (4, 9):
+            frames = gmm.TrainingFrames(data)
+            kmeans_init(frames, dataclasses.replace(self.CONFIG, num_components=3, rng_seed=seed))
+            assert frames._order[0] == np.random.default_rng(seed).integers(200)
+            firsts.append(frames._order[0])
+        assert firsts[0] != firsts[1]
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 39), (7, 13), (3576, 39), (BLOCK_FRAMES + 1, 40), (59850, 39)]
+    )
+    def test_squared_norms_around_a_buffer_equal_the_squared_frames(self, shape):
+        data = np.random.default_rng(68).standard_normal(shape) * 5.0
+        frames = gmm.TrainingFrames.around(gmm.squares_and_frames(data))
+        assert np.array_equal(frames.sq_norms, (data * data).sum(axis=1))
+        assert np.array_equal(gmm.TrainingFrames(data).sq_norms, frames.sq_norms)
 
     def test_more_seeds_than_frames_rejected_before_any_pick(self):
         data = blob_frames(np.random.default_rng(62), 100, 3, spread=3.0)
-        frames = gmm.TrainingFrames(data, seed=0)
+        frames = gmm.TrainingFrames(data)
         with pytest.raises(FewerFramesThanComponents):
-            frames.seeds(101)
+            frames.seeds(101, 0)
         assert frames._order == []
 
 
@@ -681,7 +705,7 @@ class TestEmFitMemory:
         # column-wise and takes the cluster variances one dimension at a
         # time; a T x D matrix of deviations would put the peak at 2x.
         data = np.random.default_rng(44).standard_normal((20000, 39))
-        frames = TrainingFrames.around(squares_and_frames(data), seed=0)
+        frames = TrainingFrames.around(squares_and_frames(data))
         config = TrainConfig(num_components=16, kmeans_max_iterations=2)
         tracemalloc.start()
         try:

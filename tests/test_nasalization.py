@@ -291,6 +291,8 @@ class TestAnalyzeSegment:
             dict(prominence_span_hz=0.0),
             dict(lpc_order=MAX_LPC_ORDER + 1, frame_length_ms=40.0),
             dict(lpc_order=65000, fft_size=65536, frame_length_ms=4100.0, frame_shift_ms=1000.0),
+            dict(frame_length_ms=4096.5),
+            dict(frame_length_ms=1e308),
         ):
             with pytest.raises(ValueError):
                 NasalConfig(**bad)
@@ -300,6 +302,25 @@ class TestAnalyzeSegment:
         config = NasalConfig(lpc_order=MAX_LPC_ORDER, frame_length_ms=40.0)
         report = analyze_segment(vowel(seed=8, num_samples=SR // 2), config)
         assert report.num_frames > 0 and report.num_analyzed > 0
+
+    def test_frame_length_cap_is_inclusive(self):
+        config = NasalConfig(frame_length_ms=4096.0, frame_shift_ms=1000.0)
+        report = analyze_segment(vowel(seed=8, num_samples=5 * SR), config)
+        assert report.num_frames == 1 and report.num_analyzed == 1
+
+    def test_band_and_span_past_the_spectrum_clip_to_it(self):
+        # 1e308 Hz times the FFT size is infinite; clipped to the spectrum
+        # first, it acts as a band edge or span at the spectrum's end does.
+        sig = vowel(seed=9, num_samples=SR // 2)
+        for huge, edge in (
+            (dict(band_high_hz=1e308), dict(band_high_hz=8000.0)),
+            (dict(prominence_span_hz=1e308), dict(prominence_span_hz=8000.0)),
+        ):
+            assert analyze_segment(sig, NasalConfig(**huge)) == analyze_segment(
+                sig, NasalConfig(**edge)
+            )
+        with pytest.raises(ConfigError):
+            analyze_segment(sig, NasalConfig(band_low_hz=1e307, band_high_hz=1e308))
 
 
 class TestSpectrumDump:
