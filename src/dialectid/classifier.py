@@ -211,11 +211,14 @@ def classify_utterance(bundle: ClassifierBundle, signal: AudioSignal) -> Decisio
 
 def _score(decided) -> EvalReport:
     """Tally the confusion matrix of (record, Decision) pairs."""
-    decisions = [
-        UtteranceDecision(rec.audio_path, rec.speaker_id, rec.dialect,
-                          d.label, d.lt_score, d.ct_score, d.tie)
-        for rec, d in decided
-    ]
+    decisions = []
+    for rec, d in decided:
+        decisions.append(
+            UtteranceDecision(
+                rec.audio_path, rec.speaker_id, rec.dialect,
+                d.label, d.lt_score, d.ct_score, d.tie,
+            )
+        )
     cells = Counter((d.true_label, d.predicted) for d in decisions)
     lt, ct = DialectLabel.LT, DialectLabel.CT
     tp, fp, fn, tn = cells[lt, lt], cells[ct, lt], cells[lt, ct], cells[ct, ct]
@@ -249,12 +252,15 @@ def _fit_and_score(
     prepared: TrainingFrames, config: TrainConfig, test_x2: np.ndarray, starts: list[int]
 ) -> tuple:
     """One dialect's part of a sweep row: (the test utterances'
-    log-likelihoods or the exception the fit or scoring raised, fit seconds,
-    scoring seconds). A dialect's rows share prepared, so each fit picks,
-    within its own time, only the seeds that the rows before it did not."""
+    log-likelihoods or the exception the fit, its model check or scoring
+    raised, fit seconds, scoring seconds). The check is the one save_model
+    makes, so a row fails where train would. A dialect's rows share
+    prepared, so each fit picks, within its own time, only the seeds that
+    the rows before it did not."""
     start = time.perf_counter()
     try:
         model, _ = em_fit(prepared, config)
+        model.validate()
         fitted = time.perf_counter()
         scores = log_likelihood_segments(model, test_x2, starts)
     except Exception as exc:

@@ -73,8 +73,13 @@ class CorpusManifest:
             seen.add(rec.audio_path)
 
     def subset(self, dialect: DialectLabel | None = None, split: Split | None = None):
-        return [r for r in self.records if (dialect is None or r.dialect is dialect)
-                and (split is None or r.split is split)]
+        out = [
+            r
+            for r in self.records
+            if (dialect is None or r.dialect is dialect)
+            and (split is None or r.split is split)
+        ]
+        return out
 
 
 def _parse_enum(enum_cls, token: str, what: str, lineno: int):
@@ -224,7 +229,11 @@ def validate_split(manifest: CorpusManifest) -> SplitReport:
     test = {r.speaker_id for r in manifest.records if r.split is Split.TEST}
     overlap = sorted(train & test)
 
-    missing = [(d, s) for d in DialectLabel for s in Split if not manifest.subset(d, s)]
+    missing = []
+    for dialect in DialectLabel:
+        for split in Split:
+            if not manifest.subset(dialect, split):
+                missing.append((dialect, split))
 
     warnings = []
     if not test:

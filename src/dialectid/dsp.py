@@ -168,7 +168,9 @@ def frame_signal(signal: AudioSignal, config: Framing) -> np.ndarray:
                           f"{signal.sample_rate} Hz")
     n = signal.samples.size
     if n < length:
-        raise SignalTooShort(f"signal has {n} samples, need at least {length} for one frame")
+        raise SignalTooShort(
+            f"signal has {n} samples, need at least {length} for one frame"
+        )
     frames = np.lib.stride_tricks.sliding_window_view(signal.samples, length)[::hop]
     return frames * np.hamming(length)
 

@@ -315,6 +315,7 @@ class TrainingFrames:
         self.data = data
         self.shape = data.shape  # (T, D), like the matrix em_fit also takes
         self.variance = data.var(axis=0)
+        self.sq_norms = (data * data).sum(axis=1)
         self._seed = None
         self._order: list[int] = []
         self._min_d2 = None
@@ -322,13 +323,11 @@ class TrainingFrames:
     @classmethod
     def around(cls, x2: np.ndarray) -> TrainingFrames:
         """TrainingFrames of the frames whose [x^2, x] buffer x2 is (see
-        squares_and_frames): data is its x half, a strided view, x2 the
-        buffer itself and sq_norms the row sums of its x^2 half, so the
-        frames are held once and not squared again. Fits on it are those on
+        squares_and_frames): data is its x half, a strided view, and x2 the
+        buffer itself, so the frames are held once. Fits on it are those on
         the frames as a matrix."""
         frames = cls(x2[:, x2.shape[1] // 2 :])
         frames.x2 = x2
-        frames.sq_norms = x2[:, : frames.shape[1]].sum(axis=1)
         return frames
 
     @functools.cached_property
@@ -337,11 +336,6 @@ class TrainingFrames:
         em_fit first uses it after its k-means step, so a lone fit never
         holds it and the k-means working set at once."""
         return squares_and_frames(self.data)
-
-    @functools.cached_property
-    def sq_norms(self) -> np.ndarray:
-        """Squared norm of each frame, made at first use unless around gave it."""
-        return (self.data * self.data).sum(axis=1)
 
     def variance_floor(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
         """(per-dimension variance floor, floored global variance)."""
@@ -436,7 +430,9 @@ def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmM
     floor, global_var = frames.variance_floor(config.variance_floor_factor)
 
     model = kmeans_init(frames, config)
-    weights, means, variances = model.weights, model.means, model.variances
+    weights = model.weights
+    means = model.means
+    variances = model.variances
 
     x2 = frames.x2
     frame_ll = np.empty(t)
@@ -466,7 +462,9 @@ def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmM
                 new_weights[j] = 1.0 / t
             new_weights = new_weights / new_weights.sum()
 
-        weights, means, variances = new_weights, new_means, np.maximum(new_vars, floor)
+        weights = new_weights
+        means = new_means
+        variances = np.maximum(new_vars, floor)
 
     return GmmModel(weights, means, variances), trace
 

@@ -212,7 +212,9 @@ def autocorrelation(frame: np.ndarray, max_lag: int) -> np.ndarray:
     if max_lag < 0:
         raise ValueError("max_lag must be non-negative")
     if x.size <= max_lag:
-        raise ValueError(f"frame of {x.size} samples is too short for lag {max_lag}")
+        raise ValueError(
+            f"frame of {x.size} samples is too short for lag {max_lag}"
+        )
     return _autocorrelations(x[None, :], max_lag)[0]
 
 

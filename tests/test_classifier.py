@@ -272,6 +272,18 @@ class TestSweep:
         assert [rows[0].accuracy, rows[2].accuracy] == [r.accuracy for r in alone]
         assert rows[0].error is None and rows[2].error is None
 
+    # The fits run on worker threads, where np.errstate does not reach.
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_model_fails_its_row(self, tiny_corpus):
+        # A variance floor of 1e308 overflows to infinity: train refuses to
+        # save such a model, and the sweep records its rows as failed.
+        config = TrainConfig(num_components=1, rng_seed=0, variance_floor_factor=1e308)
+        rows = sweep_mixtures(
+            tiny_corpus.manifest, tiny_corpus.manifest, MfccConfig(), config, [1, 2]
+        )
+        assert [r.error for r in rows] == ["model contains non-finite values"] * 2
+        assert [r.accuracy for r in rows] == [None, None]
+
     def test_seeds_grow_row_by_row_and_never_past_the_frames(self, tiny_corpus, monkeypatch):
         # One TrainingFrames per dialect: each row picks only the seeds it
         # adds, and a count above the frame count picks none.

@@ -631,15 +631,6 @@ class TestSharedTrainingFrames:
             firsts.append(frames._order[0])
         assert firsts[0] != firsts[1]
 
-    @pytest.mark.parametrize(
-        "shape", [(1, 39), (7, 13), (3576, 39), (BLOCK_FRAMES + 1, 40), (59850, 39)]
-    )
-    def test_squared_norms_around_a_buffer_equal_the_squared_frames(self, shape):
-        data = np.random.default_rng(68).standard_normal(shape) * 5.0
-        frames = gmm.TrainingFrames.around(gmm.squares_and_frames(data))
-        assert np.array_equal(frames.sq_norms, (data * data).sum(axis=1))
-        assert np.array_equal(gmm.TrainingFrames(data).sq_norms, frames.sq_norms)
-
     def test_more_seeds_than_frames_rejected_before_any_pick(self):
         data = blob_frames(np.random.default_rng(62), 100, 3, spread=3.0)
         frames = gmm.TrainingFrames(data)

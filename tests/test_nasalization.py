@@ -290,12 +290,16 @@ class TestAnalyzeSegment:
             dict(prominence_db=-1.0),
             dict(prominence_span_hz=0.0),
             dict(lpc_order=MAX_LPC_ORDER + 1, frame_length_ms=40.0),
-            dict(lpc_order=65000, fft_size=65536, frame_length_ms=4100.0, frame_shift_ms=1000.0),
             dict(frame_length_ms=4096.5),
             dict(frame_length_ms=1e308),
         ):
             with pytest.raises(ValueError):
                 NasalConfig(**bad)
+        # 4096 ms frames are 65536 samples, more than the order, and within
+        # the frame-length cap, so only the LP-order cap rejects this.
+        with pytest.raises(ValueError, match="lpc_order must be at most"):
+            NasalConfig(lpc_order=65000, fft_size=65536, frame_length_ms=4096.0,
+                        frame_shift_ms=1000.0)
 
     def test_lpc_order_cap_is_inclusive_and_runs(self):
         # 40 ms frames are 640 samples, so the frame rule allows the cap.
