@@ -249,20 +249,20 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
 
 
 def _fit_and_score(
-    prepared: TrainingFrames, config: TrainConfig, test_x2: np.ndarray, starts: list[int]
+    prepared: TrainingFrames, config: TrainConfig, test: np.ndarray, starts: list[int]
 ) -> tuple:
-    """One dialect's part of a sweep row: (the test utterances'
-    log-likelihoods or the exception the fit, its model check or scoring
-    raised, fit seconds, scoring seconds). The check is the one save_model
-    makes, so a row fails where train would. A dialect's rows share
-    prepared, so each fit picks, within its own time, only the seeds that
-    the rows before it did not."""
+    """One dialect's part of a sweep row: (the log-likelihoods of the test
+    utterances starting at rows starts of the frame matrix test, or the
+    exception the fit, its model check or scoring raised, fit seconds,
+    scoring seconds). The check is the one save_model makes, so a row fails
+    where train would. A dialect's rows share prepared, so each fit picks,
+    within its own time, only the seeds that the rows before it did not."""
     start = time.perf_counter()
     try:
         model, _ = em_fit(prepared, config)
         model.validate()
         fitted = time.perf_counter()
-        scores = log_likelihood_segments(model, test_x2, starts)
+        scores = log_likelihood_segments(model, test, starts)
     except Exception as exc:
         return exc, time.perf_counter() - start, 0.0
     return scores, fitted - start, time.perf_counter() - fitted
@@ -279,14 +279,14 @@ def sweep_mixtures(
 
     Features are extracted once and shared across rows, on two threads
     through run_pair: the LT and CT training frames, then the two halves of
-    the test set. Each of these three frame sets is then held once, as its
-    [x^2, x] buffer built on the calling thread, and each dialect's rows
-    share one TrainingFrames around its buffer. The rows run in order, each
-    fitting and scoring its LT and CT models together through run_pair, and
-    score the test buffer's slices. A row that fails (for
-    example, fewer frames than components) is recorded with its error
-    message, LT's before CT's, and the sweep moves on; any other exception
-    is raised, LT's before CT's, and no later row runs.
+    the test set, then held once: each dialect's training frames as its
+    [x^2, x] buffer built on the calling thread, which its rows share as one
+    TrainingFrames, and the test frames as one plain matrix. The rows run in
+    order, each fitting and scoring its LT and CT models together through
+    run_pair, and score each test utterance as classify does. A row that
+    fails (for example, fewer frames than components) is recorded with its
+    error message, LT's before CT's, and the sweep moves on; any other
+    exception is raised, LT's before CT's, and no later row runs.
     """
     counts = list(component_counts)
     if not counts:
@@ -305,15 +305,15 @@ def sweep_mixtures(
     )
     lengths = [f.shape[0] for f in first + second]
     starts = np.cumsum([0, *lengths[:-1]]).tolist()
-    test_x2 = squares_and_frames(*first, *second)
+    test = np.concatenate(first + second)
     del first, second
 
     rows = []
     for count in counts:
         config = replace(base_train_config, num_components=count)
         (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) = run_pair(
-            lambda: _fit_and_score(lt_side, config, test_x2, starts),
-            lambda: _fit_and_score(ct_side, config, test_x2, starts),
+            lambda: _fit_and_score(lt_side, config, test, starts),
+            lambda: _fit_and_score(ct_side, config, test, starts),
         )
         times = (
             max(lt_fit + lt_score, ct_fit + ct_score),

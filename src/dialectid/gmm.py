@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     FewerFramesThanComponents,
     ModelFileError,
     ModelInvariantError,
@@ -184,34 +185,28 @@ def _block_posteriors(
     return peak + np.log(row_sum), post, row_sum
 
 
-def _segment_sums(model: GmmModel, rows: np.ndarray, starts, to_x2=None) -> list[float]:
-    """Total log-likelihood of each segment, segment i running from row
-    starts[i] to starts[i + 1] and the last one to the end. rows is the
-    frames' [x^2, x] buffer, or with to_x2 a matrix whose BLOCK_FRAMES-row
-    slices to_x2 makes into the buffer's. The sums are exact (fsum), but a
-    frame's value can move in its last bits with its place in a block, so a
-    segment's sum is repeated only where its frames keep their offsets."""
+def log_likelihood_segments(model: GmmModel, frames: np.ndarray, starts) -> list[float]:
+    """Total log-likelihood of each segment of the (T, D) frames, segment i
+    running from frame starts[i] to starts[i + 1] and the last one to the
+    end. A frame's value can move in its last bits with its place in a
+    block, so each segment is scored in its own blocks of BLOCK_FRAMES rows,
+    squared as they are scored, and summed exactly (fsum): its value is
+    log_likelihood_sequence's on its frames alone, wherever it sits."""
     proj, const = _kernel(model.weights, model.means, model.variances)
-    ll: list[float] = []
-    for lo in range(0, len(rows), BLOCK_FRAMES):
-        block = rows[lo : lo + BLOCK_FRAMES]
-        ll += _block_posteriors(to_x2(block) if to_x2 else block, proj, const)[0].tolist()
-    return [math.fsum(ll[lo:hi]) for lo, hi in zip(starts, [*starts[1:], None])]
-
-
-def log_likelihood_segments(model: GmmModel, x2: np.ndarray, starts) -> list[float]:
-    """Total log-likelihood of each segment of the frames whose [x^2, x]
-    buffer x2 is (see squares_and_frames), segment i running from frame
-    starts[i] to starts[i + 1] and the last one to the end. One blocked
-    pass scores every frame, so short segments do not each pay for a call."""
-    return _segment_sums(model, x2, starts)
+    scores = []
+    for lo, hi in zip(starts, [*starts[1:], None]):
+        segment, ll = frames[lo:hi], []
+        for b in range(0, len(segment), BLOCK_FRAMES):
+            block = squares_and_frames(segment[b : b + BLOCK_FRAMES])
+            ll += _block_posteriors(block, proj, const)[0].tolist()
+        scores.append(math.fsum(ll))
+    return scores
 
 
 def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
-    """Total log-likelihood of a feature matrix: sum over frame densities.
-    Each block's [x^2, x] is made as it is scored, so a long utterance costs
-    one block of extra memory; the blocks are the slices of the features'
-    own buffer, so the value is log_likelihood_segments' on that buffer."""
+    """Total log-likelihood of a feature matrix: sum over frame densities,
+    scored as log_likelihood_segments' one segment, so a long utterance
+    costs one block of extra memory."""
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -219,7 +214,7 @@ def log_likelihood_sequence(model: GmmModel, features: np.ndarray) -> float:
         raise ValueError("empty feature matrix")
     if f.shape[1] != model.dim:
         raise ValueError(f"frame dim {f.shape[1]} != model dim {model.dim}")
-    return _segment_sums(model, f, [0], squares_and_frames)[0]
+    return log_likelihood_segments(model, f, [0])[0]
 
 
 def _accumulate(
@@ -339,6 +334,8 @@ class TrainingFrames:
 
     def variance_floor(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
         """(per-dimension variance floor, floored global variance)."""
+        if math.isinf(factor * float(self.variance.max())):
+            raise ConfigError(f"variance floor overflows (train.variance_floor_factor {factor})")
         floor = np.maximum(factor * self.variance, _MIN_VARIANCE)
         return floor, np.maximum(self.variance, floor)
 

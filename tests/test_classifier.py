@@ -272,16 +272,17 @@ class TestSweep:
         assert [rows[0].accuracy, rows[2].accuracy] == [r.accuracy for r in alone]
         assert rows[0].error is None and rows[2].error is None
 
-    # The fits run on worker threads, where np.errstate does not reach.
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_model_fails_its_row(self, tiny_corpus):
-        # A variance floor of 1e308 overflows to infinity: train refuses to
-        # save such a model, and the sweep records its rows as failed.
+        # A variance floor of 1e308 overflows to infinity: train refuses it,
+        # and the sweep records its rows as failed, before any fit and
+        # without a numpy warning.
         config = TrainConfig(num_components=1, rng_seed=0, variance_floor_factor=1e308)
         rows = sweep_mixtures(
             tiny_corpus.manifest, tiny_corpus.manifest, MfccConfig(), config, [1, 2]
         )
-        assert [r.error for r in rows] == ["model contains non-finite values"] * 2
+        message = "variance floor overflows (train.variance_floor_factor 1e+308)"
+        assert [r.error for r in rows] == [message] * 2
         assert [r.accuracy for r in rows] == [None, None]
 
     def test_seeds_grow_row_by_row_and_never_past_the_frames(self, tiny_corpus, monkeypatch):
@@ -303,9 +304,9 @@ class TestSweep:
 
     def test_rows_hold_each_frame_set_once(self, tiny_corpus, monkeypatch):
         # Each side's frames are the x half of its [x^2, x] buffer, and the
-        # test frames are one more such buffer: when the first fit starts,
-        # the sweep holds those three buffers and little else. A second T x D
-        # copy of the training frames would add half of their buffers.
+        # test frames are one T x D matrix: when the first fit starts, the
+        # sweep holds those three and little else. A second T x D copy of
+        # the training frames would add half of their buffers.
         made, held = [], []
 
         class Recorded(gmm.TrainingFrames):
@@ -339,8 +340,29 @@ class TestSweep:
         test_frames = sum(
             classifier._record_features(rec, MfccConfig()).shape[0] for rec in test.records
         )
-        buffers = 8 * 2 * made[0].shape[1] * (made[0].shape[0] + made[1].shape[0] + test_frames)
+        buffers = 8 * made[0].shape[1] * (2 * (made[0].shape[0] + made[1].shape[0]) + test_frames)
         assert held[0] - before < 1.1 * buffers
+
+    def test_scores_are_each_utterances_sequence_score(self, tiny_corpus, monkeypatch):
+        # Every score a row computes is the one classify and evaluate give
+        # the utterance under that row's model, to the last bit.
+        scored = []
+
+        def segments(model, frames, starts):
+            scores = gmm.log_likelihood_segments(model, frames, starts)
+            scored.append((model, scores))
+            return scores
+
+        monkeypatch.setattr(classifier, "log_likelihood_segments", segments)
+        manifest = tiny_corpus.manifest
+        sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1, 2, 4, 16])
+        features = [
+            classifier._record_features(rec, MfccConfig())
+            for rec in manifest.subset(split=Split.TEST)
+        ]
+        assert len(scored) == 8
+        for model, scores in scored:
+            assert scores == [gmm.log_likelihood_sequence(model, f) for f in features]
 
     def test_row_times_are_the_slower_dialects(self, tiny_corpus):
         (row,) = sweep_mixtures(

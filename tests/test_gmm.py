@@ -17,6 +17,7 @@ import reference
 from fuzz_inputs import mutations
 from dialectid import gmm
 from dialectid.errors import (
+    ConfigError,
     DialectIdError,
     FewerFramesThanComponents,
     ModelFileError,
@@ -421,27 +422,27 @@ class TestBatchedKernelsAgainstReferences:
         assert np.array_equal(got[1], want[2])
         assert got[1].flags.c_contiguous
 
-    def test_segments_score_like_separate_sequences(self):
+    @pytest.mark.parametrize("m", [2, 16, 256])
+    def test_segments_score_like_separate_sequences(self, m):
+        # Each segment is scored in blocks from its own first frame, so its
+        # value is exactly log_likelihood_sequence's on its frames alone,
+        # also for the segments that straddle a BLOCK_FRAMES boundary of the
+        # whole matrix and the one longer than two blocks.
         rng = np.random.default_rng(44)
-        model = random_model(rng, 32, 39)
-        lengths = [1, 300, BLOCK_FRAMES - 250, 700, 2]
+        model = random_model(rng, m, 39)
+        lengths = [1, 300, BLOCK_FRAMES - 250, 700, 2, 2 * BLOCK_FRAMES + 9, 3000,
+                   BLOCK_FRAMES, 17]
         frames = rng.uniform(-3.0, 3.0, (sum(lengths), 39))
         starts = np.cumsum([0, *lengths[:-1]]).tolist()
-        x2 = squares_and_frames(*np.split(frames, starts[1:]))
-        got = log_likelihood_segments(model, x2, starts)
+        got = log_likelihood_segments(model, frames, starts)
         want = [
             log_likelihood_sequence(model, frames[lo : lo + n])
             for lo, n in zip(starts, lengths)
         ]
-        assert len(got) == len(lengths)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-        # The buffer's slices are the blocks that log_likelihood_sequence
-        # squares as it goes, so one segment gives its value exactly.
-        assert log_likelihood_segments(model, x2, [0]) == [
+        assert got == want
+        assert log_likelihood_segments(model, frames, [0]) == [
             log_likelihood_sequence(model, frames)
         ]
-        assert np.array_equal(x2, gmm.squares_and_frames(frames))
-        assert log_likelihood_segments(model, gmm.squares_and_frames(frames), starts) == got
 
     def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
         rng = np.random.default_rng(41)
@@ -730,6 +731,15 @@ class TestTrainConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_variance_floor_rejected_before_the_fit(self, monkeypatch):
+        # factor * variance is inf: a ConfigError naming the field, with no
+        # numpy warning, before k-means starts.
+        monkeypatch.setattr(gmm, "kmeans_init", lambda *args: pytest.fail("fit started"))
+        data = np.random.default_rng(3).uniform(-10.0, 10.0, (50, 3))
+        with pytest.raises(ConfigError, match="train.variance_floor_factor 1e"):
+            em_fit(data, TrainConfig(num_components=2, variance_floor_factor=1e308))
 
 
 class TestPersistence:

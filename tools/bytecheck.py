@@ -8,9 +8,10 @@ one fixed script (SCRIPT) against each tree in turn: REV first, then the
 working tree this file sits in, uncommitted changes included. Both runs
 write to the same output paths, since paths appear in the outputs. The
 script runs the dialectid CLI (synth, train, evaluate, classify, extract,
-nasal, sweep, stats, validate and a few rejected configs) and one
-in-process digest of em_fit models, traces and scores on one BLAS thread
-(DIGEST). Each command's stdout, stderr and exit status go to a file
+nasal, sweep, stats, validate and a few rejected configs), also on a
+corpus of 42 s utterances, each longer than one 4096-frame scoring block,
+and one in-process digest of em_fit models, traces and scores on one BLAS
+thread (DIGEST). Each command's stdout, stderr and exit status go to a file
 beside its outputs, and a sweep's records lose their wall-clock keys.
 
 The two output trees are then compared file by file. The first difference
@@ -85,6 +86,9 @@ CT_WAV = "corpus/wav/ct-test-s000-u00.wav"
 MANIFEST = "corpus/manifest.tsv"
 SEGMENTED = "corpus/segmented.tsv"
 MIXED = "corpus/mixed.tsv"
+# 42 s utterances: 4198 frames each, so scoring crosses a block boundary.
+LONG = "long/manifest.tsv"
+LONG_WAV = "long/wav/ct-test-s000-u00.wav"
 
 
 def _derived_manifests(run: Path) -> None:
@@ -108,10 +112,10 @@ def _write_configs(run: Path) -> None:
 
 
 def _drop_sweep_times(run: Path) -> None:
-    path = run / "reports" / "sweep.jsonl"
-    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    kept = [{k: v for k, v in row.items() if k not in SWEEP_TIME_KEYS} for row in rows]
-    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in kept))
+    for path in sorted((run / "reports").glob("sweep*.jsonl")):
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        kept = [{k: v for k, v in row.items() if k not in SWEEP_TIME_KEYS} for row in rows]
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in kept))
 
 
 def _train(m: int, manifest: str = MANIFEST, name: str | None = None) -> tuple:
@@ -149,6 +153,16 @@ SCRIPT = [
     ("nasal-pair", ["nasal", "--lt-audio", LT_WAV, "--ct-audio", CT_WAV]),
     ("sweep", ["sweep", "--manifest", MIXED, "--components", "1,2,4,16,5000", "--seed", "3",
                "--format", "records", "--output", "reports/sweep.jsonl"]),
+    ("synth-long", ["synth", "--out", "long", "--train-per-class", "1", "--test-per-class",
+                    "1", "--per-speaker", "1", "--seconds", "42", "--seed", "6",
+                    "--format", "records"]),
+    _train(4, LONG, "long4"),
+    ("classify-long", ["classify", "--bundle", "bundles/long4", "--audio", LONG_WAV,
+                       "--format", "records"]),
+    ("evaluate-long", ["evaluate", "--bundle", "bundles/long4", "--manifest", LONG,
+                       "--format", "records"]),
+    ("sweep-long", ["sweep", "--manifest", LONG, "--components", "2,4", "--seed", "3",
+                    "--format", "records", "--output", "reports/sweep-long.jsonl"]),
     ("sweep-times", _drop_sweep_times),
     ("rejected-mel-filters", ["extract", "--audio", LT_WAV, "--out", "features/x.feat",
                               "--config", "configs/mel257.cfg"]),
