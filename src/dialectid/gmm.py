@@ -195,7 +195,8 @@ def log_likelihood_segments(model: GmmModel, frames: np.ndarray, starts) -> list
     proj, const = _kernel(model.weights, model.means, model.variances)
     scores = []
     for lo, hi in zip(starts, [*starts[1:], None]):
-        segment, ll = frames[lo:hi], []
+        segment = frames[lo:hi]
+        ll = []
         for b in range(0, len(segment), BLOCK_FRAMES):
             block = squares_and_frames(segment[b : b + BLOCK_FRAMES])
             ll += _block_posteriors(block, proj, const)[0].tolist()
@@ -333,7 +334,8 @@ class TrainingFrames:
         return squares_and_frames(self.data)
 
     def variance_floor(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
-        """(per-dimension variance floor, floored global variance)."""
+        """(per-dimension variance floor, floored global variance), or a
+        ConfigError, before any fit, if the floor overflows."""
         if math.isinf(factor * float(self.variance.max())):
             raise ConfigError(f"variance floor overflows (train.variance_floor_factor {factor})")
         floor = np.maximum(factor * self.variance, _MIN_VARIANCE)

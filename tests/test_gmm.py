@@ -422,27 +422,27 @@ class TestBatchedKernelsAgainstReferences:
         assert np.array_equal(got[1], want[2])
         assert got[1].flags.c_contiguous
 
-    @pytest.mark.parametrize("m", [2, 16, 256])
-    def test_segments_score_like_separate_sequences(self, m):
+    def test_segments_score_like_separate_sequences(self):
         # Each segment is scored in blocks from its own first frame, so its
         # value is exactly log_likelihood_sequence's on its frames alone,
         # also for the segments that straddle a BLOCK_FRAMES boundary of the
         # whole matrix and the one longer than two blocks.
         rng = np.random.default_rng(44)
-        model = random_model(rng, m, 39)
         lengths = [1, 300, BLOCK_FRAMES - 250, 700, 2, 2 * BLOCK_FRAMES + 9, 3000,
                    BLOCK_FRAMES, 17]
         frames = rng.uniform(-3.0, 3.0, (sum(lengths), 39))
         starts = np.cumsum([0, *lengths[:-1]]).tolist()
-        got = log_likelihood_segments(model, frames, starts)
-        want = [
-            log_likelihood_sequence(model, frames[lo : lo + n])
-            for lo, n in zip(starts, lengths)
-        ]
-        assert got == want
-        assert log_likelihood_segments(model, frames, [0]) == [
-            log_likelihood_sequence(model, frames)
-        ]
+        for m in (2, 16, 256):
+            model = random_model(rng, m, 39)
+            got = log_likelihood_segments(model, frames, starts)
+            want = [
+                log_likelihood_sequence(model, frames[lo : lo + n])
+                for lo, n in zip(starts, lengths)
+            ]
+            assert got == want
+            assert log_likelihood_segments(model, frames, [0]) == [
+                log_likelihood_sequence(model, frames)
+            ]
 
     def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
         rng = np.random.default_rng(41)
