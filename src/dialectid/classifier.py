@@ -30,7 +30,6 @@ from .gmm import (
     log_likelihood_sequence,
     run_pair,
     save_model,
-    squares_and_frames,
 )
 from .labels import SWEEP_COMPONENTS, DialectLabel
 
@@ -155,9 +154,9 @@ def _training_sides(manifest: CorpusManifest, feature_config: MfccConfig) -> tup
     lt_parts, ct_parts = run_pair(
         lambda: extract(DialectLabel.LT), lambda: extract(DialectLabel.CT)
     )
-    lt_side = TrainingFrames.around(squares_and_frames(*lt_parts))
+    lt_side = TrainingFrames.around(*lt_parts)
     del lt_parts
-    return lt_side, TrainingFrames.around(squares_and_frames(*ct_parts))
+    return lt_side, TrainingFrames.around(*ct_parts)
 
 
 def _training_record(frames: TrainingFrames, trace: list[float]) -> dict:

@@ -291,15 +291,15 @@ class TrainingFrames:
     """A training matrix with the terms every fit on it computes first, and
     its farthest-first k-means seeds, picked on demand.
 
-    The terms are the variance per dimension, the squared frame norms and
-    [x^2, x]. The first seed is a random frame drawn under the seed of the
-    first pick, which no later pick may change; each next one is the frame
-    farthest from all seeds so far, ties going to the lowest index. Each
-    pick depends only on the picks before it, so the seeds for k are a
-    prefix of the seeds for any larger k. Fits of several sizes on the same
-    frames and seed can therefore share one TrainingFrames: none computes
-    the terms again, and each picks only the seeds that no fit before it
-    did.
+    The terms are the variance per dimension and the squared frame norms,
+    refused if they overflow; x2 is [x^2, x] if around made it, else None.
+    The first seed is a random frame drawn under the seed of the first pick,
+    which no later pick may change; each next one is the frame farthest from
+    all seeds so far, ties going to the lowest index. Each pick depends only
+    on the picks before it, so the seeds for k are a prefix of the seeds for
+    any larger k. Fits of several sizes on the same frames and seed can
+    therefore share one TrainingFrames: none computes the terms again, and
+    each picks only the seeds that no fit before it did.
     """
 
     def __init__(self, data: np.ndarray):
@@ -310,28 +310,26 @@ class TrainingFrames:
             raise ValueError("training data contains non-finite values")
         self.data = data
         self.shape = data.shape  # (T, D), like the matrix em_fit also takes
-        self.variance = data.var(axis=0)
-        self.sq_norms = (data * data).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.variance = data.var(axis=0)
+            self.sq_norms = (data * data).sum(axis=1)
+        if not (np.isfinite(self.variance).all() and np.isfinite(self.sq_norms).all()):
+            raise ValueError("training data overflows when squared")
+        self.x2 = None
         self._seed = None
         self._order: list[int] = []
         self._min_d2 = None
 
     @classmethod
-    def around(cls, x2: np.ndarray) -> TrainingFrames:
-        """TrainingFrames of the frames whose [x^2, x] buffer x2 is (see
-        squares_and_frames): data is its x half, a strided view, and x2 the
-        buffer itself, so the frames are held once. Fits on it are those on
-        the frames as a matrix."""
+    def around(cls, *features: np.ndarray) -> TrainingFrames:
+        """TrainingFrames of the feature matrices stacked in order, held once
+        as their [x^2, x] buffer x2 (squares_and_frames), whose x half, a
+        strided view, is data. Fits on it are those on the stacked matrix."""
+        with np.errstate(over="ignore"):  # cls names frames that overflow
+            x2 = squares_and_frames(*features)
         frames = cls(x2[:, x2.shape[1] // 2 :])
         frames.x2 = x2
         return frames
-
-    @functools.cached_property
-    def x2(self) -> np.ndarray:
-        """[x^2, x] of the frames, made at first use unless given to around.
-        em_fit first uses it after its k-means step, so a lone fit never
-        holds it and the k-means working set at once."""
-        return squares_and_frames(self.data)
 
     def variance_floor(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
         """(per-dimension variance floor, floored global variance), or a
@@ -419,9 +417,10 @@ def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmM
     re-seeded at the lowest-likelihood frame with the global variance and a
     1/num_frames weight, keeping the component count fixed. The E-step runs
     over blocks of BLOCK_FRAMES frames, so its working memory does not grow
-    with the frame count beyond the [x^2, x] matrix of TrainingFrames.
-    data is the frame matrix or its TrainingFrames, the fit the same either
-    way; fits sharing a TrainingFrames must share config.rng_seed.
+    with the frame count beyond [x^2, x]: TrainingFrames.x2, else one made
+    after k-means, never beside its working set. data is the frame matrix
+    or its TrainingFrames, the fit the same either way; fits sharing a
+    TrainingFrames must share config.rng_seed.
     """
     frames = data if isinstance(data, TrainingFrames) else TrainingFrames(data)
     data = frames.data
@@ -433,7 +432,7 @@ def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmM
     means = model.means
     variances = model.variances
 
-    x2 = frames.x2
+    x2 = squares_and_frames(data) if frames.x2 is None else frames.x2
     frame_ll = np.empty(t)
     trace: list[float] = []
     for iteration in range(config.max_em_iterations):
@@ -455,10 +454,9 @@ def em_fit(data: np.ndarray | TrainingFrames, config: TrainConfig) -> tuple[GmmM
         if not alive.all():
             dead = np.flatnonzero(~alive)
             worst = np.argsort(frame_ll)[: dead.size]
-            for j, idx in zip(dead, worst):
-                new_means[j] = data[idx]
-                new_vars[j] = global_var
-                new_weights[j] = 1.0 / t
+            new_means[dead] = data[worst]
+            new_vars[dead] = global_var
+            new_weights[dead] = 1.0 / t
             new_weights = new_weights / new_weights.sum()
 
         weights = new_weights

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from dialectid.gmm import (
     log_likelihood_sequence,
     run_pair,
     save_model,
-    squares_and_frames,
 )
 
 
@@ -573,7 +573,7 @@ class TestSharedTrainingFrames:
         # Also on the frames as the strided x half of their [x^2, x] buffer,
         # which seeds copies to a contiguous matrix for each growth.
         data = blob_frames(np.random.default_rng(64), 300, 5, spread=3.0)
-        view = gmm.TrainingFrames.around(gmm.squares_and_frames(data))
+        view = gmm.TrainingFrames.around(data)
         assert not view.data.flags.c_contiguous
         for grown in (gmm.TrainingFrames(data), view):
             for k in (3, 3, 1, 20, 7, 40):
@@ -581,13 +581,15 @@ class TestSharedTrainingFrames:
             assert len(grown._order) == 40
 
     def test_fits_sharing_training_frames_equal_their_own(self):
+        # Shared lone frames, squared by each fit, and shared frames around
+        # the [x^2, x] buffer of two parts, squared once.
         data = blob_frames(np.random.default_rng(61), 400, 6, spread=3.0)
-        frames = gmm.TrainingFrames(data)
-        with gmm.one_blas_thread():
-            for k in range(1, 25):
-                config = dataclasses.replace(self.CONFIG, num_components=k)
-                assert_same_fit(em_fit(frames, config), em_fit(data, config))
-        assert len(frames._order) == 24 and frames.shape == data.shape
+        for frames in (gmm.TrainingFrames(data), gmm.TrainingFrames.around(data[:150], data[150:])):
+            with gmm.one_blas_thread():
+                for k in range(1, 25):
+                    config = dataclasses.replace(self.CONFIG, num_components=k)
+                    assert_same_fit(em_fit(frames, config), em_fit(data, config))
+            assert len(frames._order) == 24 and frames.shape == data.shape
 
     @pytest.mark.parametrize("m", [1, 4, 16, 64, 256, "dead"])
     def test_fit_around_a_buffer_equals_the_fit_on_the_matrix(self, m):
@@ -604,13 +606,34 @@ class TestSharedTrainingFrames:
             data = blob_frames(rng, BLOCK_FRAMES + 300, 40, spread=3.0)
         config = TrainConfig(m, max_em_iterations=4, kmeans_max_iterations=4,
                              convergence_tol=1e-12, rng_seed=4)
-        frames = TrainingFrames.around(squares_and_frames(data[:50], data[50:]))
+        frames = TrainingFrames.around(data[:50], data[50:])
         assert np.shares_memory(frames.data, frames.x2) and not frames.data.flags.c_contiguous
         assert np.array_equal(frames.data, data) and frames.shape == data.shape
         with gmm.one_blas_thread():
             got, want = em_fit(frames, config), em_fit(data, config)
         assert_same_fit(got, want)
         assert (got[0].weights > 0).all()
+
+    def test_dead_components_reseeded_at_the_worst_frames(self):
+        # k-means leaves two of five clusters empty on three distinct frames.
+        # The first M-step puts them at the lowest-likelihood frames, with
+        # the global variance and weight 1/T before the weights are
+        # renormalized.
+        rng = np.random.default_rng(66)
+        data = np.repeat(rng.standard_normal((3, 39)), 40, axis=0)[rng.permutation(120)]
+        config = TrainConfig(5, max_em_iterations=1, rng_seed=4)
+        seeded = kmeans_init(TrainingFrames(data), config)
+        dead = np.flatnonzero(seeded.weights == 0)
+        frame_ll = np.empty(120)
+        kernel = gmm._kernel(seeded.weights, seeded.means, seeded.variances)
+        occupancy, _ = gmm._accumulate(gmm.squares_and_frames(data), *kernel, frame_ll)
+        model, trace = em_fit(data, config)
+        assert dead.size == 2 and len(trace) == 1
+        assert np.array_equal(model.means[dead], data[np.argsort(frame_ll)[:2]])
+        global_var = TrainingFrames(data).variance_floor(config.variance_floor_factor)[1]
+        assert np.array_equal(model.variances[dead], [global_var, global_var])
+        weights = np.where(seeded.weights == 0, 1.0, occupancy) / 120
+        assert np.array_equal(model.weights, weights / weights.sum())
 
     def test_frames_seeded_otherwise_than_the_config_rejected(self):
         # The pick cache keeps the seed of its first pick: a fit under
@@ -697,7 +720,7 @@ class TestEmFitMemory:
         # column-wise and takes the cluster variances one dimension at a
         # time; a T x D matrix of deviations would put the peak at 2x.
         data = np.random.default_rng(44).standard_normal((20000, 39))
-        frames = TrainingFrames.around(squares_and_frames(data))
+        frames = TrainingFrames.around(data)
         config = TrainConfig(num_components=16, kmeans_max_iterations=2)
         tracemalloc.start()
         try:
@@ -740,6 +763,28 @@ class TestTrainConfigValidation:
         data = np.random.default_rng(3).uniform(-10.0, 10.0, (50, 3))
         with pytest.raises(ConfigError, match="train.variance_floor_factor 1e"):
             em_fit(data, TrainConfig(num_components=2, variance_floor_factor=1e308))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[1e160, 0.0], [-1e160, 1.0], [0.0, 2.0]],  # variance and norms overflow
+            [[1.3e154, 0.0], [-1.3e154, 1.0], [0.0, 2.0]],  # the variance only
+            [[1e155, 1e155]] * 3,  # the norms only: the variance is zero
+        ],
+    )
+    def test_frames_overflowing_when_squared_rejected_before_the_fit(self, data, monkeypatch):
+        # Finite frames whose variance or squared norms are not: a
+        # ValueError naming the frames, not the variance floor, with no
+        # numpy warning, before k-means starts, for a matrix and a buffer.
+        monkeypatch.setattr(gmm, "kmeans_init", lambda *args: pytest.fail("fit started"))
+        data = np.array(data)
+        message = "training data overflows when squared"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                em_fit(data, TrainConfig(1))
+            with pytest.raises(ValueError, match=message):
+                TrainingFrames.around(data[:1], data[1:])
 
 
 class TestPersistence:

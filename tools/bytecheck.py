@@ -11,8 +11,9 @@ script runs the dialectid CLI (synth, train, evaluate, classify, extract,
 nasal, sweep, stats, validate and a few rejected configs), also on a
 corpus of 42 s utterances, each longer than one 4096-frame scoring block,
 and one in-process digest of em_fit models, traces and scores on one BLAS
-thread (DIGEST). Each command's stdout, stderr and exit status go to a file
-beside its outputs, and a sweep's records lose their wall-clock keys.
+thread (DIGEST), also of fits on the corpus's shared training sides. Each
+command's stdout, stderr and exit status go to a file beside its outputs,
+and a sweep's records lose their wall-clock keys.
 
 The two output trees are then compared file by file. The first difference
 is printed and the exit status is 1; otherwise all are reported equal and
@@ -41,10 +42,15 @@ SWEEP_TIME_KEYS = ("seconds", "train_seconds", "score_seconds")
 # Models, traces and scores of em_fit on one BLAS thread, at M = 4..256 over
 # more than one 4096-frame block, on frames that leave k-means clusters
 # empty (so EM re-seeds dead components), and a score under a model with a
-# zero-weight component.
+# zero-weight component. Then the fits of M = 2, 4 and 16 in turn on each
+# dialect's one shared training side of the corpus, as sweep builds and
+# grows it.
 DIGEST = r"""
 import hashlib
 import numpy as np
+from dialectid import classifier
+from dialectid.corpus import load_manifest
+from dialectid.dsp import MfccConfig
 from dialectid.gmm import GmmModel, TrainConfig, em_fit, log_likelihood_sequence, one_blas_thread
 
 def show(name, model, trace, score):
@@ -73,6 +79,11 @@ with one_blas_thread():
     weights[1] = 0.0
     zero = GmmModel(weights / weights.sum(), model.means, model.variances)
     show("zero-weight component", zero, [], log_likelihood_sequence(zero, data))
+    sides = classifier._training_sides(load_manifest("corpus/manifest.tsv"), MfccConfig())
+    for name, side in zip(("LT", "CT"), sides):
+        for m in (2, 4, 16):
+            model, trace = em_fit(side, config(m, 6))
+            show(f"shared {name} side M={m}", model, trace, log_likelihood_sequence(model, side.data))
 """
 
 CONFIGS = {
