@@ -72,19 +72,9 @@ class Decision:
 
 
 @dataclass
-class UtteranceDecision:
-    audio_path: str
-    speaker_id: str
-    true_label: DialectLabel
-    predicted: DialectLabel
-    lt_score: float
-    ct_score: float
-    tie: bool
-
-
-@dataclass
 class EvalReport:
-    """Confusion counts with LT as the positive class, plus derived metrics."""
+    """Confusion counts with LT as the positive class, plus derived metrics,
+    and decisions: each test record, in manifest order, with its Decision."""
 
     true_positives: int
     false_positives: int
@@ -94,7 +84,7 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    decisions: list[UtteranceDecision]
+    decisions: list[tuple[UtteranceRecord, Decision]]
 
 
 @dataclass
@@ -209,16 +199,10 @@ def classify_utterance(bundle: ClassifierBundle, signal: AudioSignal) -> Decisio
 
 
 def _score(decided) -> EvalReport:
-    """Tally the confusion matrix of (record, Decision) pairs."""
-    decisions = []
-    for rec, d in decided:
-        decisions.append(
-            UtteranceDecision(
-                rec.audio_path, rec.speaker_id, rec.dialect,
-                d.label, d.lt_score, d.ct_score, d.tie,
-            )
-        )
-    cells = Counter((d.true_label, d.predicted) for d in decisions)
+    """Tally the confusion matrix of (record, Decision) pairs, true dialect
+    against decided label; the report keeps the pairs as its decisions."""
+    decisions = list(decided)
+    cells = Counter((rec.dialect, d.label) for rec, d in decisions)
     lt, ct = DialectLabel.LT, DialectLabel.CT
     tp, fp, fn, tn = cells[lt, lt], cells[ct, lt], cells[lt, ct], cells[ct, ct]
     accuracy, precision, recall, f1 = metrics_from_counts(tp, fp, fn, tn)
@@ -237,7 +221,8 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
 
     Assumes train/test speaker disjointness has already been checked
     (validate_split); this function only consumes split == test records.
-    Features are extracted one utterance at a time.
+    Features are extracted one utterance at a time, and each record is
+    decided as classify_utterance decides its audio, cut to its segment.
     """
     lt_model, ct_model = bundle.lt_model, bundle.ct_model
     decided = (

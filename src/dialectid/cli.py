@@ -207,15 +207,15 @@ def cmd_evaluate(args, kv) -> int:
     records = [
         {
             "type": "decision",
-            "audio": d.audio_path,
-            "speaker": d.speaker_id,
-            "true": d.true_label.value,
-            "predicted": d.predicted.value,
+            "audio": rec.audio_path,
+            "speaker": rec.speaker_id,
+            "true": rec.dialect.value,
+            "predicted": d.label.value,
             "lt_score": d.lt_score,
             "ct_score": d.ct_score,
             "tie": d.tie,
         }
-        for d in report.decisions
+        for rec, d in report.decisions
     ]
     summary = {
         "type": "summary",

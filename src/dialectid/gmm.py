@@ -291,15 +291,16 @@ class TrainingFrames:
     """A training matrix with the terms every fit on it computes first, and
     its farthest-first k-means seeds, picked on demand.
 
-    The terms are the variance per dimension and the squared frame norms,
-    refused if they overflow; x2 is [x^2, x] if around made it, else None.
-    The first seed is a random frame drawn under the seed of the first pick,
-    which no later pick may change; each next one is the frame farthest from
-    all seeds so far, ties going to the lowest index. Each pick depends only
-    on the picks before it, so the seeds for k are a prefix of the seeds for
-    any larger k. Fits of several sizes on the same frames and seed can
-    therefore share one TrainingFrames: none computes the terms again, and
-    each picks only the seeds that no fit before it did.
+    The terms are the variance and largest square per dimension and the
+    squared frame norms, refused if a fit's sums of them overflow; x2 is
+    [x^2, x] if around made it, else None. The first seed is a random frame
+    drawn under the seed of the first pick, which no later pick may change;
+    each next one is the frame farthest from all seeds so far, ties going to
+    the lowest index. Each pick depends only on the picks before it, so the
+    seeds for k are a prefix of the seeds for any larger k. Fits of several
+    sizes on the same frames and seed can therefore share one TrainingFrames:
+    none computes the terms again, and each picks only the seeds that no fit
+    before it did.
     """
 
     def __init__(self, data: np.ndarray):
@@ -312,9 +313,14 @@ class TrainingFrames:
         self.shape = data.shape  # (T, D), like the matrix em_fit also takes
         with np.errstate(over="ignore", invalid="ignore"):
             self.variance = data.var(axis=0)
-            self.sq_norms = (data * data).sum(axis=1)
-        if not (np.isfinite(self.variance).all() and np.isfinite(self.sq_norms).all()):
+            squares = data * data
+            self.sq_norms = squares.sum(axis=1)
+        # k-means distances and cluster variances are at most 4x the largest
+        # squared norm; their sums and the EM statistics, T times that.
+        bound = 4.0 * data.shape[0] * float(self.sq_norms.max())
+        if not (np.isfinite(self.variance).all() and math.isfinite(bound)):
             raise ValueError("training data overflows when squared")
+        self.peak_squares = squares.max(axis=0)
         self.x2 = None
         self._seed = None
         self._order: list[int] = []
@@ -332,11 +338,17 @@ class TrainingFrames:
         return frames
 
     def variance_floor(self, factor: float) -> tuple[np.ndarray, np.ndarray]:
-        """(per-dimension variance floor, floored global variance), or a
-        ConfigError, before any fit, if the floor overflows."""
+        """(per-dimension variance floor, floored global variance), or, before
+        any fit, a ConfigError if the floor overflows and a ValueError if the
+        frames overflow over it: an E-step log-joint's terms are at most 2
+        sum_d (the largest x_d^2) / floor_d in size, and a fit sums T of them."""
         if math.isinf(factor * float(self.variance.max())):
             raise ConfigError(f"variance floor overflows (train.variance_floor_factor {factor})")
         floor = np.maximum(factor * self.variance, _MIN_VARIANCE)
+        with np.errstate(over="ignore"):
+            bound = 4.0 * self.shape[0] * (self.peak_squares / floor).sum()
+        if math.isinf(bound):
+            raise ValueError(f"training data overflows over its variance floor (factor {factor})")
         return floor, np.maximum(self.variance, floor)
 
     def seeds(self, k: int, seed: int) -> np.ndarray:

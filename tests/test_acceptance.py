@@ -305,8 +305,8 @@ def test_criterion_09_pipeline_reruns_are_byte_identical(small_corpus, tmp_path)
 
     def decision_rows(report):
         return [
-            (d.audio_path, d.predicted.value, d.lt_score, d.ct_score, d.tie)
-            for d in report.decisions
+            (rec.audio_path, d.label.value, d.lt_score, d.ct_score, d.tie)
+            for rec, d in report.decisions
         ]
 
     decisions_ok = decision_rows(reports[0]) == decision_rows(reports[1])

@@ -219,8 +219,18 @@ class TestEvaluate:
         lt_fraction = sum(
             r.dialect is DialectLabel.LT for r in test_records
         ) / len(test_records)
-        assert all(d.tie and d.predicted is DialectLabel.LT for d in report.decisions)
+        assert all(d.tie and d.label is DialectLabel.LT for _, d in report.decisions)
         assert report.accuracy == pytest.approx(lt_fraction)
+
+    def test_decisions_pair_each_test_record_with_its_classify_decision(
+        self, tiny_corpus, bundle_m1
+    ):
+        report = evaluate(bundle_m1, tiny_corpus.manifest)
+        test_records = tiny_corpus.manifest.subset(split=Split.TEST)
+        assert report.decisions == [
+            (rec, classify_utterance(bundle_m1, read_audio(rec.audio_path)))
+            for rec in test_records
+        ]
 
     def test_no_test_utterances_rejected(self, tiny_corpus, bundle_m1):
         train_only = CorpusManifest(tiny_corpus.manifest.subset(split=Split.TRAIN))

@@ -786,6 +786,31 @@ class TestTrainConfigValidation:
             with pytest.raises(ValueError, match=message):
                 TrainingFrames.around(data[:1], data[1:])
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # k-means' -2 x.c products overflow (4x the largest squared norm).
+            ([[1.2e154, 0.0], [1.2e154, 1.0], [1.1e154, 2.0]], "when squared"),
+            # The EM statistics' sums over the frames overflow (T times that).
+            ([[6.3e153 + k * 1e150, float(k)] for k in range(5)], "when squared"),
+            # The constant column's variance floors at 1e-12, and the E-step's
+            # x^2 / (2 var) overflows.
+            ([[1e150, float(k)] for k in range(4)], "over its variance floor"),
+        ],
+    )
+    def test_frames_overflowing_in_the_fit_rejected_before_kmeans(self, data, message, monkeypatch):
+        # Finite variance and squared norms, but a fit's arithmetic on them
+        # overflows: a ValueError naming the frames, with no numpy warning,
+        # before k-means starts, for a matrix and a buffer.
+        monkeypatch.setattr(gmm, "kmeans_init", lambda *args: pytest.fail("fit started"))
+        data = np.array(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for frames in (lambda: data, lambda: TrainingFrames.around(data[:1], data[1:])):
+                with pytest.raises(ValueError, match="training data overflows " + message) as caught:
+                    em_fit(frames(), TrainConfig(2))
+                assert not isinstance(caught.value, ConfigError)
+
 
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, tmp_path):

@@ -11,7 +11,8 @@ script runs the dialectid CLI (synth, train, evaluate, classify, extract,
 nasal, sweep, stats, validate and a few rejected configs), also on a
 corpus of 42 s utterances, each longer than one 4096-frame scoring block,
 and one in-process digest of em_fit models, traces and scores on one BLAS
-thread (DIGEST), also of fits on the corpus's shared training sides. Each
+thread (DIGEST), also of fits on the corpus's shared training sides and of
+every score list that a sweep of the corpus computes. Each
 command's stdout, stderr and exit status go to a file beside its outputs,
 and a sweep's records lose their wall-clock keys.
 
@@ -44,7 +45,9 @@ SWEEP_TIME_KEYS = ("seconds", "train_seconds", "score_seconds")
 # empty (so EM re-seeds dead components), and a score under a model with a
 # zero-weight component. Then the fits of M = 2, 4 and 16 in turn on each
 # dialect's one shared training side of the corpus, as sweep builds and
-# grows it.
+# grows it. Last, every score list that a sweep of the corpus at M = 2, 4
+# and 16 computes: LT and CT score on two threads, so the lists are printed
+# by mixture size, then by a digest of the model that scored them.
 DIGEST = r"""
 import hashlib
 import numpy as np
@@ -53,10 +56,14 @@ from dialectid.corpus import load_manifest
 from dialectid.dsp import MfccConfig
 from dialectid.gmm import GmmModel, TrainConfig, em_fit, log_likelihood_sequence, one_blas_thread
 
-def show(name, model, trace, score):
+def model_hash(model):
     h = hashlib.sha256()
     for array in (model.weights, model.means, model.variances):
         h.update(array.tobytes())
+    return h
+
+def show(name, model, trace, score):
+    h = model_hash(model)
     h.update(repr((trace, score)).encode())
     print(name, h.hexdigest(), len(trace), repr(score))
 
@@ -84,6 +91,21 @@ with one_blas_thread():
         for m in (2, 4, 16):
             model, trace = em_fit(side, config(m, 6))
             show(f"shared {name} side M={m}", model, trace, log_likelihood_sequence(model, side.data))
+
+scored = []
+segments = classifier.log_likelihood_segments
+
+def recording(model, frames, starts):
+    scores = segments(model, frames, starts)
+    scored.append((model.num_components, model_hash(model).hexdigest(), scores))
+    return scores
+
+classifier.log_likelihood_segments = recording
+manifest = load_manifest("corpus/manifest.tsv")
+rows = classifier.sweep_mixtures(manifest, manifest, MfccConfig(), config(2, 6), (2, 4, 16))
+for m, digest, scores in sorted(scored):
+    print(f"sweep scores M={m} model {digest}", repr(scores))
+print("sweep rows", [(row.num_components, row.accuracy, row.error) for row in rows])
 """
 
 CONFIGS = {
