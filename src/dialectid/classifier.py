@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, Split, UtteranceRecord, read_audio
 from .dsp import AudioSignal, MfccConfig, extract_features, extract_segment
-from .errors import EmptyTestSetError, DialectIdError, MissingDialectError
+from .errors import EmptyTestSetError, DialectIdError, MissingDialectError, SignalTooShort
 from .fileio import atomic_open
 from .gmm import (
     GmmModel,
@@ -123,7 +123,10 @@ def _record_features(rec: UtteranceRecord, feature_config: MfccConfig) -> np.nda
     signal = read_audio(rec.audio_path)
     if rec.segment is not None:
         signal = extract_segment(signal, *rec.segment)
-    return extract_features(signal, feature_config)
+    try:
+        return extract_features(signal, feature_config)
+    except SignalTooShort as exc:
+        raise SignalTooShort(f"{rec.audio_path}: {exc}") from None
 
 
 def _training_sides(manifest: CorpusManifest, feature_config: MfccConfig) -> tuple:
@@ -209,11 +212,17 @@ def _score(decided) -> EvalReport:
     return EvalReport(tp, fp, fn, tn, accuracy, precision, recall, f1, decisions)
 
 
-def _test_records(manifest: CorpusManifest) -> list[UtteranceRecord]:
+def _each_test_record(manifest: CorpusManifest, job) -> tuple[list[UtteranceRecord], list]:
+    """(test records, [job(rec) for rec in them]) by run_pair over two contiguous
+    halves: the first half's error is raised first, as on one thread."""
     records = manifest.subset(split=Split.TEST)
     if not records:
         raise EmptyTestSetError("manifest has no test utterances")
-    return records
+    half = (len(records) + 1) // 2
+    first, second = run_pair(
+        lambda: [job(rec) for rec in records[:half]], lambda: [job(rec) for rec in records[half:]]
+    )
+    return records, first + second
 
 
 def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalReport:
@@ -221,15 +230,15 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
 
     Assumes train/test speaker disjointness has already been checked
     (validate_split); this function only consumes split == test records.
-    Features are extracted one utterance at a time, and each record is
-    decided as classify_utterance decides its audio, cut to its segment.
+    Their two halves are decided on two threads (_each_test_record), one
+    utterance's features at a time, each record as classify_utterance
+    decides its audio, cut to its segment.
     """
-    lt_model, ct_model = bundle.lt_model, bundle.ct_model
-    decided = (
-        (rec, _decide(lt_model, ct_model, _record_features(rec, bundle.feature_config)))
-        for rec in _test_records(test_manifest)
+    lt_model, ct_model, config = bundle.lt_model, bundle.ct_model, bundle.feature_config
+    records, decisions = _each_test_record(
+        test_manifest, lambda rec: _decide(lt_model, ct_model, _record_features(rec, config))
     )
-    return _score(decided)
+    return _score(zip(records, decisions))
 
 
 def _fit_and_score(
@@ -279,18 +288,12 @@ def sweep_mixtures(
         raise ValueError("component counts must be positive")
 
     lt_side, ct_side = _training_sides(train_manifest, feature_config)
-    # Contiguous halves: run_pair raises the first half's error first, so
-    # the first bad record in manifest order is the one reported.
-    records = _test_records(test_manifest)
-    half = (len(records) + 1) // 2
-    first, second = run_pair(
-        lambda: [_record_features(rec, feature_config) for rec in records[:half]],
-        lambda: [_record_features(rec, feature_config) for rec in records[half:]],
+    records, features = _each_test_record(
+        test_manifest, lambda rec: _record_features(rec, feature_config)
     )
-    lengths = [f.shape[0] for f in first + second]
-    starts = np.cumsum([0, *lengths[:-1]]).tolist()
-    test = np.concatenate(first + second)
-    del first, second
+    starts = np.cumsum([0, *(f.shape[0] for f in features[:-1])]).tolist()
+    test = np.concatenate(features)
+    del features
 
     rows = []
     for count in counts:

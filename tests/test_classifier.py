@@ -652,8 +652,9 @@ def long_corpus(tmp_path_factory):
 
 class TestTrainingThreads:
     # Trains M = 16 and M = 256 bundles through the CLI and prints a digest
-    # line per model file. argv[1] "sequential" hides the second CPU, which
-    # makes run_pair fit LT and CT one after the other.
+    # line per model file and one of each bundle's evaluate records. argv[1]
+    # "sequential" hides the second CPU, which makes run_pair run its LT and
+    # CT jobs one after the other.
     PROBE = (
         "import hashlib, os, sys\n"
         "if sys.argv[1] == 'sequential':\n"
@@ -665,9 +666,14 @@ class TestTrainingThreads:
         "    argv = ['train', '--manifest', manifest, '--components', m,\n"
         "            '--config', config, '--out', bundle]\n"
         "    assert run(argv) == 0\n"
+        "    records = bundle + '.jsonl'\n"
+        "    assert run(['evaluate', '--bundle', bundle, '--manifest', manifest,\n"
+        "                '--format', 'records', '--output', records]) == 0\n"
         "    for name in ('lt.gmm', 'ct.gmm'):\n"
         "        with open(os.path.join(bundle, name), 'rb') as fh:\n"
         "            print('digest', m, name, hashlib.sha256(fh.read()).hexdigest())\n"
+        "    with open(records, 'rb') as fh:\n"
+        "        print('digest', m, 'evaluate', hashlib.sha256(fh.read()).hexdigest())\n"
     )
 
     def test_model_bytes_identical_across_blas_threads_and_layouts(self, long_corpus, tmp_path):
@@ -694,7 +700,7 @@ class TestTrainingThreads:
             digests[threads, layout] = [
                 line for line in done.stdout.splitlines() if line.startswith("digest ")
             ]
-        assert len(next(iter(digests.values()))) == 4
+        assert len(next(iter(digests.values()))) == 6
         assert len(set(map(tuple, digests.values()))) == 1, digests
 
     def test_blas_thread_count_is_restored(self, tiny_corpus):
@@ -781,9 +787,11 @@ LT, CT, TRAIN, TEST = DialectLabel.LT, DialectLabel.CT, Split.TRAIN, Split.TEST
 
 class TestStagesOnTwoThreads:
     def test_sweep_records_identical_in_every_mode(
-        self, relabeled_manifest_path, tmp_path, monkeypatch, capsys
+        self, relabeled_manifest_path, bundle_m1, tmp_path, monkeypatch, capsys
     ):
-        outputs = {}
+        bundle = tmp_path / "bundle"
+        save_bundle(bundle_m1, bundle)
+        outputs, decisions = {}, {}
         for mode in MODES:
             with monkeypatch.context() as patch:
                 started = run_mode(patch, mode)
@@ -791,16 +799,26 @@ class TestStagesOnTwoThreads:
                 argv = ["sweep", "--manifest", relabeled_manifest_path, "--components",
                         "1,2,4,5000", "--seed", "3", "--format", "records", "--output", str(out)]
                 assert run(argv) == 0
+                assert bool(started) == (mode == "threads")
+                started.clear()
+                scored = tmp_path / f"{mode}-evaluate.jsonl"
+                argv = ["evaluate", "--bundle", str(bundle), "--manifest",
+                        relabeled_manifest_path, "--format", "records", "--output", str(scored)]
+                assert run(argv) == 0
             assert bool(started) == (mode == "threads")
             outputs[mode] = [
                 {k: v for k, v in json.loads(line).items() if k not in SWEEP_TIMING_KEYS}
                 for line in out.read_text(encoding="utf-8").splitlines()
             ]
+            decisions[mode] = scored.read_bytes()
         rows = outputs["threads"]
         assert [r["num_components"] for r in rows] == [1, 2, 4, 5000]
         assert any(0.0 < (r["accuracy"] or 0.0) < 1.0 for r in rows)
         assert rows[-1]["error"] is not None
         assert outputs["one-cpu"] == rows and outputs["no-setter"] == rows
+        summary = json.loads(decisions["threads"].splitlines()[-1])
+        assert summary["utterances"] == 10 and 0.0 < summary["accuracy"] < 1.0
+        assert decisions["one-cpu"] == decisions["threads"] == decisions["no-setter"]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_row_errors_and_unexpected_errors_keep_sequential_order(
@@ -852,10 +870,13 @@ class TestStagesOnTwoThreads:
             ([(CT, TEST, 1), (LT, TEST, 3)], (LT, TEST, 3)),
             ([(CT, TEST, 4)], (CT, TEST, 4)),
             ([(LT, TEST, 0), (CT, TRAIN, 0)], (CT, TRAIN, 0)),
+            # The test halves are LT 0-4 and CT 0-4.
+            ([(CT, TEST, 3), (CT, TEST, 0)], (CT, TEST, 0)),
+            ([(CT, TEST, 0), (LT, TEST, 4), (LT, TEST, 2)], (LT, TEST, 2)),
         ],
     )
     def test_first_bad_record_in_sequential_order_is_reported(
-        self, tiny_corpus, tmp_path, monkeypatch, picks, culprit
+        self, tiny_corpus, bundle_m1, tmp_path, monkeypatch, picks, culprit
     ):
         manifest = with_bad_records(tiny_corpus.manifest, tmp_path, picks)
         dialect, split, k = culprit
@@ -865,6 +886,8 @@ class TestStagesOnTwoThreads:
         calls = [lambda: sweep_mixtures(manifest, manifest, MfccConfig(), TrainConfig(1), [1])]
         if split is TRAIN:
             calls.append(lambda: train_bundle(manifest, MfccConfig(), TrainConfig(1)))
+        else:
+            calls.append(lambda: evaluate(bundle_m1, manifest))
         for mode in MODES:
             with monkeypatch.context() as patch:
                 run_mode(patch, mode)

@@ -20,9 +20,13 @@ import pytest
 import dialectid
 import reference
 from dialectid import nasalization
+from dialectid.classifier import ClassifierBundle, save_bundle
 from dialectid.cli import run
-from dialectid.corpus import Split, load_manifest, read_audio, write_manifest, write_wav
+from dialectid.corpus import (
+    CorpusManifest, Split, load_manifest, read_audio, write_manifest, write_wav,
+)
 from dialectid.dsp import AudioSignal, MfccConfig, extract_features, extract_segment, read_features
+from dialectid.gmm import GmmModel, TrainConfig
 from dialectid.nasalization import NasalConfig, segment_lp_spectra
 from dialectid.synth import generate_synthetic_corpus
 
@@ -510,6 +514,35 @@ class TestEvaluate:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestRecordTooShortForOneFrame:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    @pytest.mark.parametrize(
+        "seconds, segment, samples",
+        [(100 / SR, None, 100), (1.0, (5.0, 6.0), 0)],
+        ids=["100-sample-wav", "segment-past-the-end"],
+    )
+    def test_error_names_the_file(
+        self, tiny_corpus, bundle_dir, tmp_path, capsys, command, seconds, segment, samples
+    ):
+        split = Split.TRAIN if command == "train" else Split.TEST
+        wav = tmp_path / "short.wav"
+        write_wav(str(wav), AudioSignal(np.full(int(round(seconds * SR)), 0.1), SR))
+        records = list(tiny_corpus.manifest.records)
+        k = records.index(tiny_corpus.manifest.subset(split=split)[2])
+        records[k] = dataclasses.replace(records[k], audio_path=str(wav), segment=segment)
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest(CorpusManifest(records), manifest)
+        argv = {
+            "train": ["--components", "1", "--out", str(tmp_path / "bundle")],
+            "evaluate": ["--bundle", bundle_dir],
+            "sweep": ["--components", "1"],
+        }[command]
+        assert run([command, "--manifest", str(manifest), *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {wav}: signal has {samples} samples, need at least 400 for one frame\n"
+        )
 
 
 class TestSweep:
@@ -1032,6 +1065,27 @@ class TestFastExit:
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def slow_evaluation(tiny_corpus, tmp_path_factory):
+    """(bundle, manifest) of an evaluate that takes tens of seconds: two
+    M = 1024 models of random means, and 4000 test records, each a symlink
+    to one of tiny_corpus's test WAVs, since a manifest names a path once."""
+    out = tmp_path_factory.mktemp("slow-evaluation")
+    rng = np.random.default_rng(4)
+    m = 1024
+    models = [GmmModel(np.full(m, 1.0 / m), rng.standard_normal((m, 39)), np.ones((m, 39)))
+              for _ in range(2)]
+    save_bundle(ClassifierBundle(*models, MfccConfig(), TrainConfig(m)), out / "bundle")
+    test = tiny_corpus.manifest.subset(split=Split.TEST)
+    records = []
+    for i in range(4000):
+        link = out / f"u{i:04d}.wav"
+        link.symlink_to(test[i % len(test)].audio_path)
+        records.append(dataclasses.replace(test[i % len(test)], audio_path=str(link)))
+    write_manifest(CorpusManifest(records), out / "manifest.tsv")
+    return str(out / "bundle"), str(out / "manifest.tsv")
+
+
 # (signal, exit status, stderr) of each way to stop a `dialectid` process.
 STOPS = [(signal.SIGINT, 130, "error: interrupted\n"), (signal.SIGTERM, 143, "error: terminated\n")]
 
@@ -1066,6 +1120,19 @@ class TestInterrupt:
                 ",".join(["16"] * 300), "--output", str(out)]
         config = "train.max_em_iterations = 200\ntrain.convergence_tol = 1e-300\n"
         status, err, waited = self.stopped(stop, argv, config, tmp_path)
+        assert (status, err) == stop[1:]
+        assert waited < 5
+        assert not out.exists() and not list(tmp_path.glob(".*.tmp"))
+
+    def test_signal_ends_evaluate_without_waiting_for_its_second_half(
+        self, slow_evaluation, tmp_path, stop
+    ):
+        # About 20 s of scoring, both halves at once: the signal lands in
+        # the first half, and the second half's thread is not waited for.
+        bundle, manifest = slow_evaluation
+        out = tmp_path / "evaluate.txt"
+        argv = ["evaluate", "--bundle", bundle, "--manifest", manifest, "--output", str(out)]
+        status, err, waited = self.stopped(stop, argv, "", tmp_path)
         assert (status, err) == stop[1:]
         assert waited < 5
         assert not out.exists() and not list(tmp_path.glob(".*.tmp"))

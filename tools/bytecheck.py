@@ -8,7 +8,8 @@ one fixed script (SCRIPT) against each tree in turn: REV first, then the
 working tree this file sits in, uncommitted changes included. Both runs
 write to the same output paths, since paths appear in the outputs. The
 script runs the dialectid CLI (synth, train, evaluate, classify, extract,
-nasal, sweep, stats, validate and a few rejected configs), also on a
+nasal, sweep, stats, validate, a few rejected configs and evaluate on an
+unreadable test file in either half of the test split), also on a
 corpus of 42 s utterances, each longer than one 4096-frame scoring block,
 and one in-process digest of em_fit models, traces and scores on one BLAS
 thread (DIGEST), also of fits on the corpus's shared training sides and of
@@ -119,6 +120,13 @@ CT_WAV = "corpus/wav/ct-test-s000-u00.wav"
 MANIFEST = "corpus/manifest.tsv"
 SEGMENTED = "corpus/segmented.tsv"
 MIXED = "corpus/mixed.tsv"
+# Manifests and the halves of their test split whose second utterance is an
+# unreadable file (_derived_manifests).
+UNREADABLE = {
+    "corpus/unreadable-first.tsv": ("first",),
+    "corpus/unreadable-second.tsv": ("second",),
+    "corpus/unreadable-both.tsv": ("first", "second"),
+}
 # 42 s utterances: 4198 frames each, so scoring crosses a block boundary.
 LONG = "long/manifest.tsv"
 LONG_WAV = "long/wav/ct-test-s000-u00.wav"
@@ -126,8 +134,10 @@ LONG_WAV = "long/wav/ct-test-s000-u00.wav"
 
 def _derived_manifests(run: Path) -> None:
     """corpus/segmented.tsv, the manifest with segment bounds on every other
-    utterance, and corpus/mixed.tsv, with every third utterance's dialect
-    swapped, so that a sweep's accuracies fall between 0 and 1."""
+    utterance; corpus/mixed.tsv, with every third utterance's dialect
+    swapped, so that a sweep's accuracies fall between 0 and 1; and the
+    UNREADABLE manifests, in each of which the second test utterance of the
+    first, the second or both halves of the test split is not a WAV file."""
     lines = (run / MANIFEST).read_text(encoding="utf-8").splitlines()
     bounds = ("\t0.1\t0.85", "")
     rows = [line + bounds[i % 2] for i, line in enumerate(lines)]
@@ -137,6 +147,15 @@ def _derived_manifests(run: Path) -> None:
     for row in rows[::3]:
         row[2] = swap[row[2]]
     (run / MIXED).write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    tests = [i for i, line in enumerate(lines) if line.split("\t")[4] == "test"]
+    halves = {"first": tests, "second": tests[(len(tests) + 1) // 2:]}
+    for half in halves:
+        (run / "corpus" / f"unreadable-{half}.wav").write_bytes(b"not a wav file")
+    for path, picks in UNREADABLE.items():
+        rows = [line.split("\t") for line in lines]
+        for half in picks:
+            rows[halves[half][1]][0] = f"unreadable-{half}.wav"
+        (run / path).write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
 
 
 def _write_configs(run: Path) -> None:
@@ -175,6 +194,8 @@ SCRIPT = [
                           "--format", "records", "--output", "reports/evaluate.jsonl"]),
     ("evaluate-segmented", ["evaluate", "--bundle", "bundles/segmented4", "--manifest",
                             SEGMENTED, "--format", "records"]),
+    *((f"evaluate-{Path(path).stem}", ["evaluate", "--bundle", "bundles/m16", "--manifest", path])
+      for path in UNREADABLE),
     ("classify-text", ["classify", "--bundle", "bundles/m64", "--audio", CT_WAV]),
     ("classify-records", ["classify", "--bundle", "bundles/m4", "--audio", LT_WAV,
                           "--format", "records", "--output", "reports/classify.jsonl"]),
