@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import CorpusManifest, Split, UtteranceRecord, read_audio
 from .dsp import AudioSignal, MfccConfig, extract_features, extract_segment
-from .errors import EmptyTestSetError, DialectIdError, MissingDialectError, SignalTooShort
+from .errors import EmptyTestSetError, DialectIdError, MissingDialectError, naming
 from .fileio import atomic_open
 from .gmm import (
     GmmModel,
@@ -123,10 +123,8 @@ def _record_features(rec: UtteranceRecord, feature_config: MfccConfig) -> np.nda
     signal = read_audio(rec.audio_path)
     if rec.segment is not None:
         signal = extract_segment(signal, *rec.segment)
-    try:
+    with naming(rec.audio_path):
         return extract_features(signal, feature_config)
-    except SignalTooShort as exc:
-        raise SignalTooShort(f"{rec.audio_path}: {exc}") from None
 
 
 def _training_sides(manifest: CorpusManifest, feature_config: MfccConfig) -> tuple:

@@ -46,7 +46,7 @@ from .corpus import (
     validate_split,
 )
 from .dsp import CANONICAL_SAMPLE_RATE, extract_features, extract_segment, write_features, write_features_csv
-from .errors import ConfigError, DialectIdError, ManifestError
+from .errors import ConfigError, DialectIdError, ManifestError, naming
 from .fileio import atomic_open
 from .labels import SWEEP_COMPONENTS
 
@@ -153,7 +153,8 @@ def _check_speaker_discipline(train_manifest, test_manifest) -> None:
 
 def cmd_extract(args, kv) -> int:
     config = _config(kv, "mfcc")
-    features = extract_features(read_audio(args.audio), config)
+    with naming(args.audio):
+        features = extract_features(read_audio(args.audio), config)
     if args.csv:
         write_features_csv(args.out, features)
     else:
@@ -185,7 +186,8 @@ def cmd_train(args, kv) -> int:
 def cmd_classify(args, kv) -> int:
     from .classifier import classify_utterance, load_bundle
     bundle = load_bundle(args.bundle)
-    decision = classify_utterance(bundle, read_audio(args.audio))
+    with naming(args.audio):
+        decision = classify_utterance(bundle, read_audio(args.audio))
     record = {
         "audio": args.audio,
         "label": decision.label.value,
@@ -334,8 +336,10 @@ def cmd_nasal(args, kv) -> int:
     if paired:
         lt_signal = _load_segment(args.lt_audio, args.lt_start, args.lt_end)
         ct_signal = _load_segment(args.ct_audio, args.ct_start, args.ct_end)
-        lt_report = analyze_segment(lt_signal, config)
-        ct_report = analyze_segment(ct_signal, config)
+        with naming(args.lt_audio):
+            lt_report = analyze_segment(lt_signal, config)
+        with naming(args.ct_audio):
+            ct_report = analyze_segment(ct_signal, config)
         verdict = compare_degree(lt_report, ct_report)
         records = _nasal_records("LT", lt_report) + _nasal_records("CT", ct_report)
         records.append(
@@ -348,7 +352,8 @@ def cmd_nasal(args, kv) -> int:
     else:
         signal = _load_segment(args.audio, args.start, args.end)
         with atomic_open(args.dump_spectra) if args.dump_spectra else nullcontext() as dump:
-            report = analyze_segment(signal, config, dump)
+            with naming(args.audio):
+                report = analyze_segment(signal, config, dump)
         records = _nasal_records("segment", report)
     _emit(args, records, _nasal_text(records))
     return 0
@@ -438,29 +443,29 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dialectid",
         description="Literary vs colloquial Tamil utterance classification tools.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=_number(int, 0), default=None, help="override every seeded RNG"
-    )
-    common.add_argument("--config", default=None, help="key = value config file")
-    common.add_argument("--output", default=None, help="write the report to this file instead of stdout")
-    common.add_argument(
-        "--format",
-        choices=("text", "records"),
-        default="text",
-        help="report style: human text or line-delimited JSON records",
-    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add(name, help_text, func):
+        """The command's parser with the report flags, and --seed and
+        --config only where the command seeds an RNG or builds a config."""
         p = sub.add_parser(
             name,
-            parents=[common],
             help=help_text,
             description=help_text,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter,
         )
-        p.set_defaults(func=func)
+        if name in ("synth", "train", "sweep"):
+            p.add_argument("--seed", type=_number(int, 0), default=None, help="override every seeded RNG")
+        if name in ("extract", "train", "sweep", "nasal"):
+            p.add_argument("--config", default=None, help="key = value config file")
+        p.add_argument("--output", default=None, help="write the report to this file instead of stdout")
+        p.add_argument(
+            "--format",
+            choices=("text", "records"),
+            default="text",
+            help="report style: human text or line-delimited JSON records",
+        )
+        p.set_defaults(func=func, config=None)
         return p
 
     p = add("extract", "extract 39-dim features from one WAV file", cmd_extract)

@@ -11,6 +11,7 @@ infinite values with require_finite_fields.
 import dataclasses
 import math
 import numbers
+from contextlib import contextmanager
 
 
 class DialectIdError(Exception):
@@ -19,6 +20,15 @@ class DialectIdError(Exception):
 
 class SignalTooShort(DialectIdError):
     """Signal shorter than a single analysis frame."""
+
+
+@contextmanager
+def naming(path):
+    """Put path in front of the message of a SignalTooShort raised inside."""
+    try:
+        yield
+    except SignalTooShort as exc:
+        raise SignalTooShort(f"{path}: {exc}") from None
 
 
 class SampleRateMismatch(DialectIdError):

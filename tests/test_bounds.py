@@ -108,10 +108,6 @@ def _cases():
              "--seconds", "1"],
             ["train", "--manifest", MANIFEST, "--components", "2", "--out", "bundle"],
             ["sweep", "--manifest", MANIFEST, "--components", "2"],
-            ["extract", "--audio", WAV, "--out", "x.feat"],
-            ["nasal", "--audio", WAV],
-            ["stats", "--manifest", MANIFEST],
-            ["validate", "--manifest", MANIFEST],
         )
     ]
     yield "synth", "", [

@@ -66,6 +66,38 @@ class TestUsageErrors:
     def test_no_command(self):
         assert run([]) == 2
 
+    # --seed goes only with the commands that seed an RNG (synth, train,
+    # sweep), --config only with those that build a config (extract, train,
+    # sweep, nasal).
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            *((argv, "--seed") for argv in (
+                ["extract", "--audio", "a.wav", "--out", "a.feat"],
+                ["classify", "--bundle", "bundle", "--audio", "a.wav"],
+                ["evaluate", "--bundle", "bundle", "--manifest", "m.tsv"],
+                ["nasal", "--audio", "a.wav"],
+                ["validate", "--manifest", "m.tsv"],
+                ["stats", "--manifest", "m.tsv"],
+            )),
+            *((argv, "--config") for argv in (
+                ["classify", "--bundle", "bundle", "--audio", "a.wav"],
+                ["evaluate", "--bundle", "bundle", "--manifest", "m.tsv"],
+                ["validate", "--manifest", "m.tsv"],
+                ["stats", "--manifest", "m.tsv"],
+                ["synth", "--out", "corpus"],
+            )),
+        ],
+        ids=lambda value: value[2:] if isinstance(value, str) else value[0],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, argv, flag):
+        assert run([*argv, flag, "1"]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"dialectid: error: unrecognized arguments: {flag} 1"
+        ]
+        assert "Traceback" not in err
+
     def test_unknown_flag(self, tiny_corpus):
         assert run(["stats", "--manifest", tiny_corpus.manifest_path, "--bogus"]) == 2
 
@@ -543,6 +575,35 @@ class TestRecordTooShortForOneFrame:
         assert capsys.readouterr().err == (
             f"error: {wav}: signal has {samples} samples, need at least 400 for one frame\n"
         )
+
+
+class TestAudioTooShortForOneFrame:
+    @pytest.mark.parametrize(
+        "argv, samples, frame",
+        [
+            (["extract", "--audio", "{short}", "--out", "{out}"], 100, 400),
+            (["classify", "--bundle", "{bundle}", "--audio", "{short}"], 100, 400),
+            (["nasal", "--audio", "{short}"], 100, 320),
+            (["nasal", "--audio", "{second}", "--start", "5", "--end", "6"], 0, 320),
+            (["nasal", "--lt-audio", "{ok}", "--ct-audio", "{short}"], 100, 320),
+            (["nasal", "--lt-audio", "{short}", "--ct-audio", "{ok}"], 100, 320),
+        ],
+        ids=["extract", "classify", "nasal", "nasal-segment-past-the-end", "nasal-short-ct",
+             "nasal-short-lt"],
+    )
+    def test_error_names_the_file(
+        self, bundle_dir, vowel_wav, tmp_path, capsys, argv, samples, frame
+    ):
+        paths = {"short": tmp_path / "short.wav", "second": tmp_path / "second.wav"}
+        write_wav(str(paths["short"]), AudioSignal(np.full(100, 0.1), SR))
+        write_wav(str(paths["second"]), AudioSignal(np.full(SR, 0.1), SR))
+        named = {**paths, "ok": vowel_wav, "bundle": bundle_dir, "out": tmp_path / "x.feat"}
+        short = paths["second" if samples == 0 else "short"]
+        assert run([arg.format_map(named) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {short}: signal has {samples} samples, need at least {frame} for one frame\n"
+        )
+        assert not (tmp_path / "x.feat").exists()
 
 
 class TestSweep:
@@ -1093,11 +1154,14 @@ STOPS = [(signal.SIGINT, 130, "error: interrupted\n"), (signal.SIGTERM, 143, "er
 @pytest.mark.parametrize("stop", STOPS, ids=["SIGINT", "SIGTERM"])
 class TestInterrupt:
     def stopped(self, stop, argv, config_text, tmp_path, wait=lambda: time.sleep(3)):
-        """(status, stderr, seconds to exit) of `dialectid argv` sent stop's
+        """(status, stderr, seconds to exit) of `dialectid argv`, with a
+        --config file of config_text unless that is empty, sent stop's
         signal once wait() returns, 3 s in by default."""
-        config = tmp_path / "long.cfg"
-        config.write_text(config_text)
-        proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv, "--config", str(config)],
+        if config_text:
+            config = tmp_path / "long.cfg"
+            config.write_text(config_text)
+            argv = [*argv, "--config", str(config)]
+        proc = subprocess.Popen([sys.executable, "-c", MAIN, *argv],
                                 stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
                                 text=True)
         try:

@@ -8,8 +8,9 @@ one fixed script (SCRIPT) against each tree in turn: REV first, then the
 working tree this file sits in, uncommitted changes included. Both runs
 write to the same output paths, since paths appear in the outputs. The
 script runs the dialectid CLI (synth, train, evaluate, classify, extract,
-nasal, sweep, stats, validate, a few rejected configs and evaluate on an
-unreadable test file in either half of the test split), also on a
+nasal, sweep, stats, validate, a few rejected configs, evaluate on an
+unreadable test file in either half of the test split and the --help of
+the commands that take --seed or --config), also on a
 corpus of 42 s utterances, each longer than one 4096-frame scoring block,
 and one in-process digest of em_fit models, traces and scores on one BLAS
 thread (DIGEST), also of fits on the corpus's shared training sides and of
@@ -223,6 +224,8 @@ SCRIPT = [
     ("rejected-lpc-order", ["nasal", "--audio", LT_WAV, "--config", "configs/lpc513.cfg"]),
     ("rejected-components", ["train", "--manifest", MANIFEST, "--components", "0",
                              "--out", "bundles/none"]),
+    *((f"help-{command}", [command, "--help"])
+      for command in ("synth", "train", "sweep", "extract", "nasal")),
     ("digest", DIGEST),
 ]
 

@@ -17,12 +17,14 @@ rounds of about ROUND_SECONDS, each with two fresh workers started in
 alternating order and ending on a whole cycle of the workload's inputs.
 
 Prints the number of pairs, each side's median seconds, the median of the
-per-pair ratios B/A with a distribution-free 95% interval (order statistics
-of the ratios), each round's median ratio, the number of pairs in which B
-was faster, and each side's peak RSS. The interval takes the pairs as
-independent, so it leaves out the spread between workers, which the
-rounds' medians show. The exit status is 1 if an operation fails its check
-or a worker stops, and 2 if REV cannot be exported.
+per-pair ratios B/A with a distribution-free 95% interval, each round's
+median ratio, the number of pairs in which B was faster, and each side's
+peak RSS. The interval is taken over the rounds' median ratios (order
+statistics of them), not over the pairs: pairs of one round share their two
+workers, so an interval over pairs would leave out the spread between
+workers. Few rounds give a wide interval; one round gives its own median.
+The exit status is 1 if an operation fails its check or a worker stops,
+and 2 if REV cannot be exported.
 
 The cli workload spawns each operation's process on perfbench's own
 checkout, so both workers would time the same code. The classify workload
@@ -198,13 +200,14 @@ def main(argv=None) -> int:
                 problems += [f"worker {w.label}: {p}" for p in end["problems"]]
                 shutil.rmtree(tmp / f"{w.label}{r}", ignore_errors=True)
         ratios = [tb / ta for ta, tb in zip(times["A"], times["B"])]
-        low, high = median_interval(ratios)
+        low, high = median_interval(round_ratios)
         print(f"perfpair {args.workload}, seed {SEED}: A = {args.rev} ({commit[:12]}), "
               f"B = the working tree at {ROOT}; set-up {set_up:.1f} s")
         print(f"pairs {len(ratios)} in {elapsed:.1f} s, {rounds} rounds of fresh workers")
         print(f"median seconds: A {statistics.median(times['A']):.6f}  "
               f"B {statistics.median(times['B']):.6f}")
-        print(f"B/A median {statistics.median(ratios):.4f}, 95% interval {low:.4f} to {high:.4f}")
+        print(f"B/A median {statistics.median(ratios):.4f}, 95% interval {low:.4f} to {high:.4f} "
+              "over the round medians")
         print("B/A median per round: " + " ".join(f"{q:.4f}" for q in round_ratios))
         print(f"B faster in {sum(q < 1.0 for q in ratios)} of {len(ratios)} pairs")
         print(f"peak RSS MB: A {peak_rss['A']:.1f}  B {peak_rss['B']:.1f}")
