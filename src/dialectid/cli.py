@@ -351,9 +351,8 @@ def cmd_nasal(args, kv) -> int:
         )
     else:
         signal = _load_segment(args.audio, args.start, args.end)
-        with atomic_open(args.dump_spectra) if args.dump_spectra else nullcontext() as dump:
-            with naming(args.audio):
-                report = analyze_segment(signal, config, dump)
+        with atomic_open(args.dump_spectra) if args.dump_spectra else nullcontext() as dump, naming(args.audio):
+            report = analyze_segment(signal, config, dump)
         records = _nasal_records("segment", report)
     _emit(args, records, _nasal_text(records))
     return 0
@@ -446,8 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add(name, help_text, func):
-        """The command's parser with the report flags, and --seed and
-        --config only where the command seeds an RNG or builds a config."""
+        """The command's parser; --seed and --config only where the command reads them."""
         p = sub.add_parser(
             name,
             help=help_text,

@@ -10,7 +10,7 @@ write to the same output paths, since paths appear in the outputs. The
 script runs the dialectid CLI (synth, train, evaluate, classify, extract,
 nasal, sweep, stats, validate, a few rejected configs, evaluate on an
 unreadable test file in either half of the test split and the --help of
-the commands that take --seed or --config), also on a
+train and sweep, the commands that take both --seed and --config), also on a
 corpus of 42 s utterances, each longer than one 4096-frame scoring block,
 and one in-process digest of em_fit models, traces and scores on one BLAS
 thread (DIGEST), also of fits on the corpus's shared training sides and of
@@ -225,7 +225,7 @@ SCRIPT = [
     ("rejected-components", ["train", "--manifest", MANIFEST, "--components", "0",
                              "--out", "bundles/none"]),
     *((f"help-{command}", [command, "--help"])
-      for command in ("synth", "train", "sweep", "extract", "nasal")),
+      for command in ("train", "sweep")),
     ("digest", DIGEST),
 ]
 
