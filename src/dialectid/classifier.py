@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import CorpusManifest, Split, UtteranceRecord, read_audio
 from .dsp import AudioSignal, MfccConfig, extract_features, extract_segment
 from .errors import EmptyTestSetError, DialectIdError, MissingDialectError, naming
-from .fileio import atomic_open
+from .fileio import atomic_open, read_bytes
 from .gmm import (
     GmmModel,
     TrainConfig,
@@ -239,21 +239,19 @@ def evaluate(bundle: ClassifierBundle, test_manifest: CorpusManifest) -> EvalRep
     return _score(zip(records, decisions))
 
 
-def _fit_and_score(
-    prepared: TrainingFrames, config: TrainConfig, test: np.ndarray, starts: list[int]
-) -> tuple:
+def _fit_and_score(prepared: TrainingFrames, config: TrainConfig, test: list[np.ndarray]) -> tuple:
     """One dialect's part of a sweep row: (the log-likelihoods of the test
-    utterances starting at rows starts of the frame matrix test, or the
-    exception the fit, its model check or scoring raised, fit seconds,
-    scoring seconds). The check is the one save_model makes, so a row fails
-    where train would. A dialect's rows share prepared, so each fit picks,
-    within its own time, only the seeds that the rows before it did not."""
+    utterances' feature matrices, or the exception the fit, its model check
+    or scoring raised, fit seconds, scoring seconds). The check is the one
+    save_model makes, so a row fails where train would. A dialect's rows
+    share prepared, so each fit picks, within its own time, only the seeds
+    that the rows before it did not."""
     start = time.perf_counter()
     try:
         model, _ = em_fit(prepared, config)
         model.validate()
         fitted = time.perf_counter()
-        scores = log_likelihood_segments(model, test, starts)
+        scores = log_likelihood_segments(model, test)
     except Exception as exc:
         return exc, time.perf_counter() - start, 0.0
     return scores, fitted - start, time.perf_counter() - fitted
@@ -270,10 +268,10 @@ def sweep_mixtures(
 
     Features are extracted once and shared across rows, on two threads
     through run_pair: the LT and CT training frames, then the two halves of
-    the test set, then held once: each dialect's training frames as its
+    the test set. Each dialect's training frames are held once, as its
     [x^2, x] buffer built on the calling thread, which its rows share as one
-    TrainingFrames, and the test frames as one plain matrix. The rows run in
-    order, each fitting and scoring its LT and CT models together through
+    TrainingFrames; each test utterance's features stay as extracted. The
+    rows run in order, each fitting and scoring its LT and CT models through
     run_pair, and score each test utterance as classify does. A row that
     fails (for example, fewer frames than components) is recorded with its
     error message, LT's before CT's, and the sweep moves on; any other
@@ -286,19 +284,16 @@ def sweep_mixtures(
         raise ValueError("component counts must be positive")
 
     lt_side, ct_side = _training_sides(train_manifest, feature_config)
-    records, features = _each_test_record(
+    records, test = _each_test_record(
         test_manifest, lambda rec: _record_features(rec, feature_config)
     )
-    starts = np.cumsum([0, *(f.shape[0] for f in features[:-1])]).tolist()
-    test = np.concatenate(features)
-    del features
 
     rows = []
     for count in counts:
         config = replace(base_train_config, num_components=count)
         (lt, lt_fit, lt_score), (ct, ct_fit, ct_score) = run_pair(
-            lambda: _fit_and_score(lt_side, config, test, starts),
-            lambda: _fit_and_score(ct_side, config, test, starts),
+            lambda: _fit_and_score(lt_side, config, test),
+            lambda: _fit_and_score(ct_side, config, test),
         )
         times = (
             max(lt_fit + lt_score, ct_fit + ct_score),
@@ -316,12 +311,9 @@ def sweep_mixtures(
     return rows
 
 
-def _sha256(path) -> str:
-    # Imported here so that commands without a bundle do not pay for it.
-    import hashlib
-
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _sha256(blob: bytes) -> str:
+    import hashlib  # here, so that commands without a bundle do not pay for it
+    return hashlib.sha256(blob).hexdigest()
 
 
 def save_bundle(bundle: ClassifierBundle, directory) -> None:
@@ -339,9 +331,9 @@ def save_bundle(bundle: ClassifierBundle, directory) -> None:
         "format": "dialectid-bundle",
         "version": 1,
         "lt_model": _LT_MODEL_NAME,
-        "lt_model_sha256": _sha256(lt_path),
+        "lt_model_sha256": _sha256(read_bytes(lt_path)),
         "ct_model": _CT_MODEL_NAME,
-        "ct_model_sha256": _sha256(ct_path),
+        "ct_model_sha256": _sha256(read_bytes(ct_path)),
         "feature_config": asdict(bundle.feature_config),
         "train_config": asdict(bundle.train_config),
         "training": bundle.training,
@@ -353,7 +345,7 @@ def save_bundle(bundle: ClassifierBundle, directory) -> None:
 
 def _load_member(directory, descriptor: dict, key: str, path) -> GmmModel:
     """The model named in the descriptor; the name must be a plain file name
-    inside the bundle directory, and the file must match its recorded
+    inside the bundle directory, and the bytes parsed must match its recorded
     SHA-256 when the descriptor has one (bundles saved before digests were
     recorded have none). A member that cannot be read is a bundle error."""
     name = descriptor.get(key)
@@ -362,11 +354,12 @@ def _load_member(directory, descriptor: dict, key: str, path) -> GmmModel:
     member = os.path.join(directory, name)
     digest = descriptor.get(f"{key}_sha256")
     try:
-        if digest is not None and digest != _sha256(member):
+        blob = read_bytes(member)
+        if digest is not None and digest != _sha256(blob):
             raise DialectIdError(
                 f"{member}: SHA-256 does not match {path}; the bundle mixes files of two saves"
             )
-        return load_model(member)
+        return load_model(member, blob)
     except OSError as exc:
         raise DialectIdError(f"{path}: cannot read its {key} {name!r} ({exc})") from None
 

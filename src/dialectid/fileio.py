@@ -45,12 +45,16 @@ def write_container(path, magic: bytes, version: int, sizes, arrays) -> None:
             fh.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
 
 
-def read_container(path, magic: bytes, version: int, values, error, version_error=None):
-    """(a, b, payload as a writable float64 copy). Raises error for a truncated header,
-    another magic, a size below 1 or a length other than the header plus 8 * values(a, b)
-    bytes; version_error (default error) for another version."""
+def read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        return fh.read()
+
+
+def read_container(path, magic: bytes, version: int, values, error, version_error=None, blob=None):
+    """(a, b, payload as a writable float64 copy) of path's bytes, or of blob if given. Raises
+    error for a truncated header, another magic, a size below 1 or a length other than the
+    header plus 8 * values(a, b) bytes; version_error (default error) for another version."""
+    blob = read_bytes(path) if blob is None else blob
     if len(blob) < _HEADER.size:
         raise error(f"{path}: truncated header")
     found, found_version, a, b = _HEADER.unpack_from(blob)

@@ -192,12 +192,11 @@ def _band_peaks(
     lo, hi, span = band
     width = db.shape[1]
     p = lo + np.argmax(db[:, lo : hi + 1], axis=1)
-    # Windows run from the peak outwards; the +inf padding past either end
-    # of the spectrum never wins a minimum.
-    padded = np.pad(db, ((0, 0), (span, span)), constant_values=np.inf)
-    centre = p[:, None] + span
-    left = np.take_along_axis(padded, centre - np.arange(span + 1), axis=1)
-    right = np.take_along_axis(padded, centre + np.arange(span + 1), axis=1)
+    # Windows run from the peak outwards, clipped to the spectrum: a clipped
+    # index repeats an end bin already in its window, so no minimum changes.
+    steps = np.arange(span + 1)
+    left = np.take_along_axis(db, np.maximum(p[:, None] - steps, 0), axis=1)
+    right = np.take_along_axis(db, np.minimum(p[:, None] + steps, width - 1), axis=1)
     top = left[:, 0]
     local_max = ((p == 0) | (top >= left[:, 1])) & ((p == width - 1) | (top >= right[:, 1]))
     prominence = top - np.maximum(left.min(axis=1), right.min(axis=1))

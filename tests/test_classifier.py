@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -358,8 +359,8 @@ class TestSweep:
         # the utterance under that row's model, to the last bit.
         scored = []
 
-        def segments(model, frames, starts):
-            scores = gmm.log_likelihood_segments(model, frames, starts)
+        def segments(model, utterances):
+            scores = gmm.log_likelihood_segments(model, utterances)
             scored.append((model, scores))
             return scores
 
@@ -597,6 +598,36 @@ class TestBundlePersistence:
         back = load_bundle(out)
         assert np.array_equal(back.lt_model.means, bundle_m1.lt_model.means)
         assert np.array_equal(back.ct_model.means, bundle_m1.ct_model.means)
+
+    def test_digest_is_checked_on_the_bytes_that_load(self, tmp_path, bundle_m1, monkeypatch):
+        # Another save replaces lt.gmm right after load_bundle first opens it.
+        # The model that loads is the one whose bytes were hashed, or the
+        # digest check refuses the bundle; never the other model unchecked.
+        out, other = tmp_path / "bundle", tmp_path / "other"
+        save_bundle(bundle_m1, out)
+        swapped = ClassifierBundle(
+            bundle_m1.ct_model, bundle_m1.lt_model, MfccConfig(), bundle_m1.train_config
+        )
+        save_bundle(swapped, other)
+        real_open = open
+        opened = []
+
+        def open_then_replace(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if os.fspath(file) == os.fspath(out / "lt.gmm") and not opened:
+                opened.append(file)
+                shutil.copyfile(other / "lt.gmm", tmp_path / "lt.gmm.new")
+                os.replace(tmp_path / "lt.gmm.new", out / "lt.gmm")
+            return fh
+
+        monkeypatch.setattr("builtins.open", open_then_replace)
+        try:
+            back = load_bundle(out)
+        except DialectIdError as exc:
+            assert "lt.gmm: SHA-256 does not match" in str(exc)
+        else:
+            assert np.array_equal(back.lt_model.means, bundle_m1.lt_model.means)
+        assert opened
 
     def test_model_left_from_a_failed_save_is_refused(
         self, tmp_path, tiny_corpus, bundle_m1, monkeypatch, capsys

@@ -423,26 +423,34 @@ class TestBatchedKernelsAgainstReferences:
         assert got[1].flags.c_contiguous
 
     def test_segments_score_like_separate_sequences(self):
-        # Each segment is scored in blocks from its own first frame, so its
+        # Each utterance is scored in blocks from its own first frame, so its
         # value is exactly log_likelihood_sequence's on its frames alone,
-        # also for the segments that straddle a BLOCK_FRAMES boundary of the
-        # whole matrix and the one longer than two blocks.
+        # also for the utterances that would straddle a BLOCK_FRAMES boundary
+        # of the stacked matrix and the one longer than two blocks.
         rng = np.random.default_rng(44)
         lengths = [1, 300, BLOCK_FRAMES - 250, 700, 2, 2 * BLOCK_FRAMES + 9, 3000,
                    BLOCK_FRAMES, 17]
         frames = rng.uniform(-3.0, 3.0, (sum(lengths), 39))
-        starts = np.cumsum([0, *lengths[:-1]]).tolist()
+        utterances = np.split(frames, np.cumsum(lengths[:-1]))
         for m in (2, 16, 256):
             model = random_model(rng, m, 39)
-            got = log_likelihood_segments(model, frames, starts)
-            want = [
-                log_likelihood_sequence(model, frames[lo : lo + n])
-                for lo, n in zip(starts, lengths)
-            ]
+            got = log_likelihood_segments(model, utterances)
+            want = [log_likelihood_sequence(model, x) for x in utterances]
             assert got == want
-            assert log_likelihood_segments(model, frames, [0]) == [
+            assert log_likelihood_segments(model, [frames]) == [
                 log_likelihood_sequence(model, frames)
             ]
+
+    def test_segments_of_a_list_are_its_sequence_scores(self):
+        # One kernel for the whole list changes no bit of any score, also
+        # for an utterance longer than one block; no utterances, no scores.
+        rng = np.random.default_rng(45)
+        model = random_model(rng, 32, 39)
+        a, b, c = (rng.uniform(-3.0, 3.0, (n, 39)) for n in (298, BLOCK_FRAMES + 102, 5))
+        got = log_likelihood_segments(model, [a, b, c])
+        assert got == [log_likelihood_sequence(model, x) for x in (a, b, c)]
+        assert all(type(score) is float for score in got)
+        assert log_likelihood_segments(model, []) == []
 
     def test_sequence_likelihood_matches_direct_summation_at_full_size(self):
         rng = np.random.default_rng(41)

@@ -526,6 +526,30 @@ class TestBatchedCore:
             at_top += p == db.size - 1
         assert at_top > 0
 
+    def test_band_peaks_at_either_end_bin_match_reference(self):
+        # A band from bin 0 to the last bin, as no config reaches, puts rows'
+        # peaks on both end bins, so both clipped windows repeat an end bin;
+        # the rows of one call share the band and span.
+        rng = np.random.default_rng(11)
+        at_first = at_last = 0
+        for trial in range(200):
+            width = int(rng.integers(2, 70))
+            span = int(rng.integers(1, width + 1))
+            fft_size = 2 * (width - 1)
+            rows = rng.standard_normal((6, width))
+            rows[0] = np.sort(rows[0])[::-1]
+            rows[1] = np.sort(rows[1])
+            prominence_db = 0.3 * (trial % 3)
+            bins, hits = nasalization._band_peaks(rows, (0, width - 1, span), prominence_db)
+            for db, p, hit in zip(rows, bins, hits):
+                want = reference.band_peak_ref(
+                    db, fft_size, SR, 0.0, SR / 2, span * SR / fft_size, prominence_db
+                )
+                assert (p, hit) == want
+                at_first += p == 0
+                at_last += p == width - 1
+        assert at_first > 0 and at_last > 0
+
     def test_span_wider_than_the_spectrum_matches_reference(self):
         rng = np.random.default_rng(10)
         for span_hz in (1e5, 1e30):

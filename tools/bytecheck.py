@@ -9,14 +9,13 @@ working tree this file sits in, uncommitted changes included. Both runs
 write to the same output paths, since paths appear in the outputs. The
 script runs the dialectid CLI (synth, train, evaluate, classify, extract,
 nasal, sweep, stats, validate, a few rejected configs, evaluate on an
-unreadable test file in either half of the test split and the --help of
-train and sweep, the commands that take both --seed and --config), also on a
-corpus of 42 s utterances, each longer than one 4096-frame scoring block,
-and one in-process digest of em_fit models, traces and scores on one BLAS
-thread (DIGEST), also of fits on the corpus's shared training sides and of
-every score list that a sweep of the corpus computes. Each
-command's stdout, stderr and exit status go to a file beside its outputs,
-and a sweep's records lose their wall-clock keys.
+unreadable test file in either half of the test split and each
+command's --help), also on a corpus of 42 s utterances, each longer than
+one 4096-frame scoring block, and one in-process digest of em_fit models,
+traces and scores on one BLAS thread (DIGEST), also of fits on the
+corpus's shared training sides and of every score list that a sweep of the
+corpus computes. Each command's stdout, stderr and exit status go to a
+file beside its outputs, and a sweep's records lose their wall-clock keys.
 
 The two output trees are then compared file by file. The first difference
 is printed and the exit status is 1; otherwise all are reported equal and
@@ -97,8 +96,8 @@ with one_blas_thread():
 scored = []
 segments = classifier.log_likelihood_segments
 
-def recording(model, frames, starts):
-    scores = segments(model, frames, starts)
+def recording(model, *args):  # the utterances, or the stacked frames and their starts
+    scores = segments(model, *args)
     scored.append((model.num_components, model_hash(model).hexdigest(), scores))
     return scores
 
@@ -225,7 +224,8 @@ SCRIPT = [
     ("rejected-components", ["train", "--manifest", MANIFEST, "--components", "0",
                              "--out", "bundles/none"]),
     *((f"help-{command}", [command, "--help"])
-      for command in ("train", "sweep")),
+      for command in ("synth", "train", "evaluate", "classify", "extract", "nasal", "sweep",
+                      "stats", "validate")),
     ("digest", DIGEST),
 ]
 
